@@ -46,7 +46,7 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
-// Scalar-vs-SWAR tag-search comparison on the raw probe primitive:
+// Scalar-vs-SSE2 tag-search comparison on the raw probe primitive:
 // a full 16-way set of valid tags probed for each way in turn, the
 // shape the L2 lookup takes on the Fig 5 sweep.
 template <int (*Find)(const mem::TagSig *, const std::uint64_t *,
@@ -86,19 +86,14 @@ BM_TagSearchScalar(benchmark::State &state)
 }
 BENCHMARK(BM_TagSearchScalar);
 
-void
-BM_TagSearchSwar(benchmark::State &state)
-{
-    tagSearchBench<mem::findWaySwar>(state);
-}
-BENCHMARK(BM_TagSearchSwar);
-
+#if defined(__SSE2__)
 void
 BM_TagSearchSimd(benchmark::State &state)
 {
     tagSearchBench<mem::findWaySimd>(state);
 }
 BENCHMARK(BM_TagSearchSimd);
+#endif
 
 void
 BM_DramBankAccess(benchmark::State &state)

@@ -3,13 +3,13 @@
  * Chunked bump allocator for replay-hot transient state.
  *
  * The trace-replay engine allocates its issue-window rings, MSHR-style
- * in-flight tables and completion queues once per run (and once per
- * shard in sharded replay). Individually those are a dozen small
- * vectors; at serve-traffic rates the malloc/free churn and the
- * scattered placement both show up. An Arena gives them one contiguous
- * backing store with pointer-bump allocation: allocation is a couple
- * of arithmetic ops, everything lands hot in cache together, and the
- * whole run's state is released in O(chunks) at destruction.
+ * in-flight tables and completion queues once per run. Individually
+ * those are a dozen small vectors; at serve-traffic rates the
+ * malloc/free churn and the scattered placement both show up. An
+ * Arena gives them one contiguous backing store with pointer-bump
+ * allocation: allocation is a couple of arithmetic ops, everything
+ * lands hot in cache together, and the whole run's state is released
+ * in O(chunks) at destruction.
  *
  * Restrictions by design: only trivially-destructible element types
  * (nothing runs destructors), and no per-object deallocation — the

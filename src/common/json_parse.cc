@@ -112,9 +112,19 @@ class Parser
             return fail("unexpected end of input");
         switch (_text[_pos]) {
           case '{':
-            return parseObject(out);
-          case '[':
-            return parseArray(out);
+          case '[': {
+            // Containers recurse; bound the depth so hostile input
+            // (a request line of nested brackets) cannot exhaust the
+            // stack.
+            if (_depth == kJsonMaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(kJsonMaxDepth));
+            ++_depth;
+            bool ok = _text[_pos] == '{' ? parseObject(out)
+                                         : parseArray(out);
+            --_depth;
+            return ok;
+          }
           case '"':
             out.kind = JsonValue::Kind::String;
             return parseString(out.string);
@@ -318,6 +328,8 @@ class Parser
     const std::string &_text;
     std::string &_error;
     std::size_t _pos = 0;
+    /** Containers currently open around _pos. */
+    unsigned _depth = 0;
 };
 
 } // namespace

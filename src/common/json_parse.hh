@@ -46,10 +46,14 @@ class JsonValue
     findPath(const std::string &dotted_path) const;
 };
 
+/** Deepest array/object nesting parseJson() accepts. */
+constexpr unsigned kJsonMaxDepth = 256;
+
 /**
  * Parse a complete JSON document. On failure returns false and sets
  * @p error to "offset N: message"; on success @p out holds the root.
- * Trailing non-whitespace after the document is an error.
+ * Trailing non-whitespace and nesting deeper than kJsonMaxDepth are
+ * errors.
  */
 [[nodiscard]] bool parseJson(const std::string &text, JsonValue &out,
                              std::string &error);

@@ -28,8 +28,6 @@ Cache::Cache(const CacheParams &params, std::string name)
     }
     _line_shift = units::floorLog2(params.line_bytes);
     _sig_stride = sigStride(params.assoc);
-    _mode = tagSearchMode();
-    _vector_hit_inc = _mode != TagSearchMode::Scalar ? 1 : 0;
     _tags.resize(_num_sets * params.assoc);
     _sigs.resize(_num_sets * _sig_stride);
     _valid.resize(_num_sets);
@@ -53,18 +51,9 @@ Cache::tagOf(Addr addr) const
 int
 Cache::findWayIn(std::uint64_t set, Addr tag) const
 {
-    const std::uint64_t *tags = &_tags[set * _params.assoc];
-    switch (_mode) {
-      case TagSearchMode::Scalar:
-        return findWayScalar(tags, _valid[set], _params.assoc, tag);
-      case TagSearchMode::Swar:
-        return findWaySwar(&_sigs[set * _sig_stride], tags,
-                           _valid[set], _params.assoc, tag);
-      case TagSearchMode::Simd:
-        break;
-    }
-    return findWaySimd(&_sigs[set * _sig_stride], tags, _valid[set],
-                       _params.assoc, tag);
+    return findWay(&_sigs[set * _sig_stride],
+                   &_tags[set * _params.assoc], _valid[set],
+                   _params.assoc, tag);
 }
 
 std::int64_t
@@ -89,7 +78,6 @@ Cache::access(Addr addr, bool is_store)
     int way = findWayIn(set, tag);
     if (way >= 0) {
         ++_ctr.hits;
-        _ctr.swar_hits += _vector_hit_inc;
         res.hit = true;
         std::uint64_t flat = set * _params.assoc + unsigned(way);
         _lru[flat] = _tick;

@@ -135,7 +135,6 @@ DramCacheArray::DramCacheArray(const DramCacheParams &params,
     _page_shift = units::floorLog2(params.page_bytes);
     _sector_shift = units::floorLog2(params.sector_bytes);
     _sig_stride = sigStride(params.assoc);
-    _mode = tagSearchMode();
     _pages.resize(_num_sets * params.assoc);
     _tags.resize(_num_sets * params.assoc);
     _sigs.resize(_num_sets * _sig_stride);
@@ -164,18 +163,9 @@ DramCacheArray::sectorIndex(Addr addr) const
 int
 DramCacheArray::findPageWay(std::uint64_t set, Addr tag) const
 {
-    const std::uint64_t *tags = &_tags[set * _params.assoc];
-    switch (_mode) {
-      case TagSearchMode::Scalar:
-        return findWayScalar(tags, _valid[set], _params.assoc, tag);
-      case TagSearchMode::Swar:
-        return findWaySwar(&_sigs[set * _sig_stride], tags,
-                           _valid[set], _params.assoc, tag);
-      case TagSearchMode::Simd:
-        break;
-    }
-    return findWaySimd(&_sigs[set * _sig_stride], tags, _valid[set],
-                       _params.assoc, tag);
+    return findWay(&_sigs[set * _sig_stride],
+                   &_tags[set * _params.assoc], _valid[set],
+                   _params.assoc, tag);
 }
 
 DramCacheResult

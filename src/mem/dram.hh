@@ -184,9 +184,6 @@ class DramCacheArray
     unsigned _sector_shift;
     unsigned _sectors_per_page;
     unsigned _sig_stride;
-    /** Probe implementation, captured at construction (see
-     *  tagSearchMode()). */
-    TagSearchMode _mode;
     std::vector<PageEntry> _pages;       // num_sets * assoc
     std::vector<Addr> _tags;             // num_sets * assoc
     std::vector<TagSig> _sigs;           // num_sets * _sig_stride

@@ -9,7 +9,6 @@
 #include "common/arena.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
-#include "exec/reduce.hh"
 #include "obs/trace.hh"
 #include "trace/columns.hh"
 
@@ -37,21 +36,6 @@ struct Completion
 using CompletionHeap =
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<>>;
-
-/** Field-wise sum of hierarchy counters (sharded merge). */
-void
-addHierCounters(HierarchyCounters &into, const HierarchyCounters &from)
-{
-    into.accesses += from.accesses;
-    into.loads += from.loads;
-    into.stores += from.stores;
-    into.ifetches += from.ifetches;
-    into.coherence_invalidations += from.coherence_invalidations;
-    into.offdie_fill_bytes += from.offdie_fill_bytes;
-    into.offdie_writeback_bytes += from.offdie_writeback_bytes;
-    into.prefetches += from.prefetches;
-    into.demand_l1d_misses += from.demand_l1d_misses;
-}
 
 } // anonymous namespace
 
@@ -494,7 +478,6 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                         double(warmup_cycles));
     result.counters.set("replay.batches",
                         double(cols.decodeBatches()));
-    result.counters.set("replay.shards", 1.0);
     for (unsigned b = 0; b < 4; ++b)
         result.latency_frac[b] =
             double(lat_buckets[b]) / double(measured_records);
@@ -711,100 +694,6 @@ TraceEngine::runReference(const trace::TraceBuffer &buf,
         result.llc_miss_rate = hier.dramCache()->counters().missRate();
     }
     return result;
-}
-
-ShardedReplayResult
-TraceEngine::runSharded(const trace::TraceBuffer &buf,
-                        const HierarchyParams &hparams,
-                        unsigned num_shards,
-                        exec::ThreadPool *pool) const
-{
-    obs::Span span("mem.replay.sharded", "mem");
-    stack3d_assert(num_shards >= 1, "need at least one shard");
-
-    ShardedReplayResult out;
-
-    // Stripe records over shards by line address, so each shard owns
-    // a disjoint slice of every cache's sets and of the DRAM banks.
-    // Dependencies are remapped to shard-local indices; a dependency
-    // whose producer landed in another shard is dropped and counted.
-    const unsigned line_shift =
-        units::floorLog2(hparams.l1d.line_bytes);
-    const std::size_t n = buf.size();
-    std::vector<std::vector<trace::TraceRecord>> shard_recs(num_shards);
-    std::vector<std::uint64_t> local_index(n, 0);
-    std::vector<std::uint8_t> shard_of(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        trace::TraceRecord rec = buf[i];
-        unsigned s =
-            unsigned((rec.addr >> line_shift) % num_shards);
-        shard_of[i] = std::uint8_t(s);
-        if (rec.hasDep()) {
-            if (shard_of[rec.dep] == s) {
-                rec.dep = local_index[rec.dep];
-            } else {
-                rec.dep = trace::kNoDep;
-                ++out.cross_shard_deps;
-            }
-        }
-        local_index[i] = shard_recs[s].size();
-        shard_recs[s].push_back(rec);
-    }
-
-    // Replay every shard against its own hierarchy clone. Shards
-    // share no state, so the fan-out is embarrassingly parallel; the
-    // harvest below is in shard-index order regardless of the
-    // execution schedule, which is what makes N-thread output
-    // bit-identical to the serial run of the same decomposition.
-    out.shards.resize(num_shards);
-    exec::parallelSlabs(pool, num_shards, [&](std::size_t s) {
-        trace::TraceBuffer shard_buf(std::move(shard_recs[s]));
-        MemoryHierarchy shard_hier(hparams);
-        out.shards[s] = run(shard_buf, shard_hier);
-    });
-
-    // Deterministic merge, shard-index order. Extensive counters
-    // (records, cycles-weighted rates, traffic) sum; intensive ones
-    // (cpma, latency) are measured-record-weighted means; the run
-    // length is the slowest shard (shards model parallel banks).
-    EngineResult &m = out.merged;
-    double weight_sum = 0.0;
-    double cpma_sum = 0.0, lat_sum = 0.0;
-    double l1_sum = 0.0, llc_sum = 0.0;
-    double frac_sum[4] = {0.0, 0.0, 0.0, 0.0};
-    double batches = 0.0;
-    for (unsigned s = 0; s < num_shards; ++s) {
-        const EngineResult &r = out.shards[s];
-        m.num_records += r.num_records;
-        m.total_cycles = std::max(m.total_cycles, r.total_cycles);
-        m.offdie_gbps += r.offdie_gbps;
-        m.bus_power_w += r.bus_power_w;
-        addHierCounters(m.hier, r.hier);
-        double w = r.counters.value("engine.measured_records");
-        weight_sum += w;
-        cpma_sum += w * r.cpma;
-        lat_sum += w * r.avg_latency;
-        l1_sum += w * r.l1d_miss_rate;
-        llc_sum += w * r.llc_miss_rate;
-        for (unsigned b = 0; b < 4; ++b)
-            frac_sum[b] += w * r.latency_frac[b];
-        batches += r.counters.value("replay.batches");
-        m.counters.accumulate(r.counters);
-    }
-    if (weight_sum > 0.0) {
-        m.cpma = cpma_sum / weight_sum;
-        m.avg_latency = lat_sum / weight_sum;
-        m.l1d_miss_rate = l1_sum / weight_sum;
-        m.llc_miss_rate = llc_sum / weight_sum;
-        for (unsigned b = 0; b < 4; ++b)
-            m.latency_frac[b] = frac_sum[b] / weight_sum;
-    }
-    m.counters.set("engine.total_cycles", double(m.total_cycles));
-    m.counters.set("replay.batches", batches);
-    m.counters.set("replay.shards", double(num_shards));
-    m.counters.set("replay.cross_shard_deps",
-                   double(out.cross_shard_deps));
-    return out;
 }
 
 } // namespace mem

@@ -24,10 +24,6 @@
 
 namespace stack3d {
 
-namespace exec {
-class ThreadPool;
-} // namespace exec
-
 namespace mem {
 
 /** Issue-engine knobs. */
@@ -93,20 +89,6 @@ struct EngineResult
     obs::CounterSet counters;
 };
 
-/**
- * Result of a sharded replay: the per-shard results (in shard-index
- * order) plus the deterministic merge. See DESIGN.md "Replay data
- * path" for the decomposition and merge semantics.
- */
-struct ShardedReplayResult
-{
-    EngineResult merged;
-    std::vector<EngineResult> shards;
-    /** Trace dependencies that crossed a shard boundary and were
-     *  dropped from the sharded decomposition. */
-    std::uint64_t cross_shard_deps = 0;
-};
-
 /** Runs a trace through a hierarchy with dependency-honoring issue. */
 class TraceEngine
 {
@@ -133,26 +115,10 @@ class TraceEngine
 
     /**
      * The original straight-line implementation, kept as the oracle
-     * for the fast path and as the "before" leg of bench/mem_replay.
+     * for the fast path.
      */
     EngineResult runReference(const trace::TraceBuffer &buf,
                               MemoryHierarchy &hier) const;
-
-    /**
-     * Sharded replay: stripe the trace by line address over
-     * @p num_shards independent hierarchy clones, replay every shard
-     * (in parallel when @p pool fans out), and merge the per-shard
-     * results in shard-index order. The merge is deterministic and
-     * thread-count independent: N-thread output is bit-identical to
-     * running the same decomposition serially. Dependencies that
-     * cross shards are dropped and counted (documented
-     * approximation; shard counts > 1 change absolute numbers vs the
-     * unsharded run).
-     */
-    ShardedReplayResult runSharded(const trace::TraceBuffer &buf,
-                                   const HierarchyParams &hparams,
-                                   unsigned num_shards,
-                                   exec::ThreadPool *pool = nullptr) const;
 
   private:
     EngineParams _params;

@@ -1,7 +1,6 @@
 #include "hierarchy.hh"
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "obs/metrics.hh"
 
 namespace stack3d {
@@ -25,7 +24,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
         stack3d_fatal("prefetcher num_streams ",
                       params.prefetcher.num_streams,
                       " exceeds the 32-stream validity bitmask");
-    _tag_mode = tagSearchMode();
     _streams.resize(params.num_cpus);
     for (auto &table : _streams)
         table.resize(params.prefetcher.num_streams);
@@ -116,21 +114,8 @@ MemoryHierarchy::trainPrefetcher(unsigned cpu, Addr line, Cycles when,
     // first-match search the cache tag arrays do, over the mirrored
     // next_line column, so it vectorizes with the same primitives;
     // the common no-match case rejects on signatures alone.
-    int w;
-    switch (_tag_mode) {
-      case TagSearchMode::Scalar:
-        w = findWayScalar(next_lines, _stream_valid[cpu],
-                          pp.num_streams, line);
-        break;
-      case TagSearchMode::Swar:
-        w = findWaySwar(sigs, next_lines, _stream_valid[cpu],
-                        pp.num_streams, line);
-        break;
-      default:
-        w = findWaySimd(sigs, next_lines, _stream_valid[cpu],
-                        pp.num_streams, line);
-        break;
-    }
+    int w = findWay(sigs, next_lines, _stream_valid[cpu],
+                    pp.num_streams, line);
     if (w >= 0) {
         StreamEntry &entry = table[unsigned(w)];
         entry.last_use = _stream_clock;
@@ -358,105 +343,6 @@ MemoryHierarchy::llcAccess(unsigned cpu, Addr line, bool is_store,
 }
 
 void
-MemoryHierarchy::dumpStats(std::ostream &os) const
-{
-    using stats::Formula;
-    using stats::StatGroup;
-
-    StatGroup root("hierarchy");
-    std::vector<std::unique_ptr<Formula>> stats;
-    auto add = [&](StatGroup &group, const char *name, const char *desc,
-                   double value) {
-        stats.push_back(std::make_unique<Formula>(
-            &group, name, desc, [value] { return value; }));
-    };
-
-    add(root, "accesses", "total references", double(_ctr.accesses));
-    add(root, "loads", "load references", double(_ctr.loads));
-    add(root, "stores", "store references", double(_ctr.stores));
-    add(root, "ifetches", "ifetch references", double(_ctr.ifetches));
-    add(root, "prefetches", "prefetch fills issued",
-        double(_ctr.prefetches));
-    add(root, "demand_l1d_misses", "non-prefetch L1D misses",
-        double(_ctr.demand_l1d_misses));
-    add(root, "coherence_invals", "cross-core invalidations",
-        double(_ctr.coherence_invalidations));
-    add(root, "offdie_fill_bytes", "fills over the bus",
-        double(_ctr.offdie_fill_bytes));
-    add(root, "offdie_wb_bytes", "writebacks over the bus",
-        double(_ctr.offdie_writeback_bytes));
-
-    std::vector<std::unique_ptr<StatGroup>> groups;
-    for (unsigned c = 0; c < _params.num_cpus; ++c) {
-        auto group = std::make_unique<StatGroup>(
-            "l1d" + std::to_string(c), &root);
-        const CacheCounters &ctr = _l1d[c]->counters();
-        add(*group, "hits", "L1D hits", double(ctr.hits));
-        add(*group, "misses", "L1D misses", double(ctr.misses));
-        add(*group, "writebacks", "dirty victims",
-            double(ctr.writebacks));
-        add(*group, "miss_rate", "miss ratio", ctr.missRate());
-        groups.push_back(std::move(group));
-    }
-
-    if (_l2) {
-        auto group = std::make_unique<StatGroup>("l2", &root);
-        const CacheCounters &ctr = _l2->counters();
-        add(*group, "hits", "L2 hits", double(ctr.hits));
-        add(*group, "misses", "L2 misses", double(ctr.misses));
-        add(*group, "writebacks", "dirty victims",
-            double(ctr.writebacks));
-        add(*group, "miss_rate", "miss ratio", ctr.missRate());
-        groups.push_back(std::move(group));
-    }
-    if (_dram_cache) {
-        auto group = std::make_unique<StatGroup>("dram_cache", &root);
-        const DramCacheCounters &ctr = _dram_cache->counters();
-        add(*group, "sector_hits", "sector hits",
-            double(ctr.sector_hits));
-        add(*group, "sector_misses", "page present, sector absent",
-            double(ctr.sector_misses));
-        add(*group, "page_misses", "page allocations",
-            double(ctr.page_misses));
-        add(*group, "wb_sectors", "dirty sectors written back",
-            double(ctr.writeback_sectors));
-        add(*group, "miss_rate", "miss ratio", ctr.missRate());
-        groups.push_back(std::move(group));
-
-        auto banks = std::make_unique<StatGroup>("dram_banks", &root);
-        const DramBankCounters &bc = _dram_banks->counters();
-        add(*banks, "page_hits", "open-page CAS accesses",
-            double(bc.page_hits));
-        add(*banks, "page_opens", "idle-bank activations",
-            double(bc.page_misses));
-        add(*banks, "conflicts", "precharge+activate accesses",
-            double(bc.page_conflicts));
-        groups.push_back(std::move(banks));
-    }
-
-    {
-        auto group = std::make_unique<StatGroup>("bus", &root);
-        add(*group, "bytes", "total bytes moved",
-            double(_bus.totalBytes()));
-        add(*group, "speculative_bytes",
-            "prefetch/writeback share of bytes",
-            double(_bus.speculativeBytes()));
-        add(*group, "transactions", "bus transactions",
-            double(_bus.transactions()));
-        groups.push_back(std::move(group));
-    }
-    {
-        auto group = std::make_unique<StatGroup>("memory", &root);
-        add(*group, "reads", "DDR reads", double(_main_memory.reads()));
-        add(*group, "writes", "DDR writes (buffered)",
-            double(_main_memory.writes()));
-        groups.push_back(std::move(group));
-    }
-
-    root.dump(os);
-}
-
-void
 MemoryHierarchy::appendCounters(obs::CounterSet &out,
                                 const std::string &prefix,
                                 Cycles total_cycles) const
@@ -494,7 +380,6 @@ MemoryHierarchy::appendCounters(obs::CounterSet &out,
         acc.writebacks += c.writebacks;
         acc.invalidations += c.invalidations;
         acc.tag_probes += c.tag_probes;
-        acc.swar_hits += c.swar_hits;
     };
     for (unsigned c = 0; c < _params.num_cpus; ++c) {
         fold(l1d_all, _l1d[c]->counters());
@@ -506,15 +391,12 @@ MemoryHierarchy::appendCounters(obs::CounterSet &out,
         addCache("l2", _l2->counters());
 
     // Whole-hierarchy tag-search telemetry: every demand lookup in
-    // an SRAM tag array, and how many of the hits were found by the
-    // vectorized (SWAR/SIMD) probe path.
+    // an SRAM tag array.
     CacheCounters tag_all = l1d_all;
     fold(tag_all, l1i_all);
     if (_l2)
         fold(tag_all, _l2->counters());
     out.set(prefix + "tag_probe.probes", double(tag_all.tag_probes));
-    out.set(prefix + "tag_probe.swar_hits",
-            double(tag_all.swar_hits));
     if (_dram_cache) {
         const DramCacheCounters &dc = _dram_cache->counters();
         out.set(prefix + "dram_cache.sector_hits",

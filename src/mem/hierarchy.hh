@@ -25,7 +25,6 @@
 
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -153,13 +152,6 @@ class MemoryHierarchy
     }
 
     /**
-     * Dump every counter in gem5-style "name value # desc" lines
-     * (per-cache hits/misses, DRAM bank behaviour, bus traffic,
-     * prefetcher and coherence activity).
-     */
-    void dumpStats(std::ostream &os) const;
-
-    /**
      * Append a machine-readable snapshot of every level's counters
      * to @p out under @p prefix: per-cache hits/misses/miss_rate/
      * mpkr (misses per kilo references), DRAM cache and bank
@@ -209,7 +201,6 @@ class MemoryHierarchy
     std::vector<std::vector<Addr>> _stream_next;      // per cpu
     std::vector<std::vector<TagSig>> _stream_sigs;    // per cpu
     std::vector<std::uint32_t> _stream_valid;         // per cpu
-    TagSearchMode _tag_mode = TagSearchMode::Scalar;
     std::uint64_t _stream_clock = 0;
 };
 

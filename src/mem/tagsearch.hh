@@ -4,36 +4,28 @@
  *
  * The classic per-set lookup is a linear scan over `assoc` fat line
  * structs — at 8–16 ways and millions of probes per study cell it is
- * the hottest loop in replay. This header provides the fast variants:
+ * the hottest loop in replay. This header provides the fast probe:
  *
  *  - each way keeps a 16-bit *signature* (XOR-fold of the full tag)
  *    in a contiguous per-set array;
- *  - a probe compares 4 signatures per step with portable SWAR (the
- *    classic has-zero-halfword trick), or 8 per step with SSE2 when
- *    compiled in;
- *  - signature matches are *candidates* only — the borrow in the SWAR
- *    zero test can smear across lanes and two tags can fold to the
- *    same signature — so every candidate is confirmed against the
+ *  - a probe compares 8 signatures per step with SSE2;
+ *  - signature matches are *candidates* only — two tags can fold to
+ *    the same signature — so every candidate is confirmed against the
  *    full 64-bit tag and the valid mask. False positives cost one
  *    extra compare; false negatives are impossible (equal tags have
- *    equal signatures and the zero test never misses a zero lane).
+ *    equal signatures).
  *
- * Selection: compile-time availability (SSE2) intersected with the
- * STACK3D_TAG_SEARCH env override (scalar|swar|simd|auto), resolved
- * once per process. All variants return the same way index, which
- * the equivalence test in tests/test_mem_replay_determinism.cc pins
- * across associativities 1–16 with partial/invalid sets.
+ * Selection is fixed at compile time: findWay() is findWaySimd() when
+ * the target has SSE2 and findWayScalar() otherwise. findWayScalar()
+ * is the oracle; tests/test_mem_replay_determinism.cc pins the two
+ * equal across associativities 1–16 with partial/invalid sets.
  */
 
 #ifndef STACK3D_MEM_TAGSEARCH_HH
 #define STACK3D_MEM_TAGSEARCH_HH
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -53,82 +45,18 @@ sigOf(std::uint64_t tag)
     return TagSig(tag & 0xFFFF);
 }
 
-/** Signatures are stored padded to a multiple of 8 lanes so SWAR /
- *  SSE2 probes can always load full groups. Padding lanes belong to
- *  no way and are rejected by the `way < assoc` candidate check. */
+/** Signatures are stored padded to a multiple of 8 lanes so SSE2
+ *  probes can always load full groups. Padding lanes belong to no
+ *  way and are rejected by the `way < assoc` candidate check. */
 inline unsigned
 sigStride(unsigned assoc)
 {
     return (assoc + 7u) & ~7u;
 }
 
-/** Which probe implementation to use. */
-enum class TagSearchMode
-{
-    Scalar,
-    Swar,
-    Simd,
-};
-
-namespace detail {
-/** Programmatic override slot: -1 = unset (use the env resolution).
- *  Hierarchies capture the mode at construction, so flipping this
- *  affects hierarchies built afterwards — which is exactly what the
- *  in-process before/after benchmark legs and the equivalence tests
- *  need. */
-inline std::atomic<int> g_tag_search_override{-1};
-} // namespace detail
-
-/** Override the probe mode for hierarchies built from now on. */
-inline void
-setTagSearchMode(TagSearchMode mode)
-{
-    detail::g_tag_search_override.store(int(mode),
-                                        std::memory_order_relaxed);
-}
-
-/** Drop a setTagSearchMode() override, back to the env default. */
-inline void
-clearTagSearchMode()
-{
-    detail::g_tag_search_override.store(-1, std::memory_order_relaxed);
-}
-
-/**
- * Resolve the probe mode: a setTagSearchMode() override wins; else
- * STACK3D_TAG_SEARCH in {scalar, swar, simd, auto} (default auto =
- * best available), resolved once per process. Requesting simd
- * without SSE2 support falls back to swar.
- */
-inline TagSearchMode
-tagSearchMode()
-{
-    int over = detail::g_tag_search_override.load(
-        std::memory_order_relaxed);
-    if (over >= 0)
-        return TagSearchMode(over);
-    static const TagSearchMode mode = [] {
-        const char *env = std::getenv("STACK3D_TAG_SEARCH");
-        std::string v = env ? env : "auto";
-        if (v == "scalar")
-            return TagSearchMode::Scalar;
-        if (v == "swar")
-            return TagSearchMode::Swar;
-#if defined(__SSE2__)
-        if (v == "simd" || v == "auto")
-            return TagSearchMode::Simd;
-#else
-        if (v == "simd")
-            return TagSearchMode::Swar;
-#endif
-        return TagSearchMode::Swar;
-    }();
-    return mode;
-}
-
 /**
  * Reference scan: first way with a valid matching full tag, or -1.
- * All other variants must agree with this one exactly.
+ * The vector probe must agree with this one exactly.
  */
 inline int
 findWayScalar(const std::uint64_t *tags, std::uint32_t valid_mask,
@@ -143,40 +71,9 @@ findWayScalar(const std::uint64_t *tags, std::uint32_t valid_mask,
     return -1;
 }
 
-/**
- * SWAR probe: 4 signatures per 64-bit step. @p sigs must have
- * sigStride(assoc) valid-to-read lanes.
- */
-inline int
-findWaySwar(const TagSig *sigs, const std::uint64_t *tags,
-            std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
-{
-    const std::uint64_t pattern =
-        std::uint64_t(sigOf(tag)) * 0x0001000100010001ULL;
-    const unsigned stride = sigStride(assoc);
-    for (unsigned base = 0; base < stride; base += 4) {
-        std::uint64_t chunk;
-        std::memcpy(&chunk, sigs + base, sizeof(chunk)); // lint3d: safe-memcpy-ok fixed 8-byte lane load from padded sig array
-        std::uint64_t x = chunk ^ pattern;
-        // Zero-halfword detector: a borrow from a lower lane can set
-        // a spurious high bit in the lane above — candidates only.
-        std::uint64_t cand = (x - 0x0001000100010001ULL) & ~x &
-                             0x8000800080008000ULL;
-        while (cand) {
-            unsigned lane = unsigned(std::countr_zero(cand)) / 16u;
-            cand &= cand - 1;
-            unsigned w = base + lane;
-            if (w < assoc && ((valid_mask >> w) & 1u) &&
-                tags[w] == tag) {
-                return int(w);
-            }
-        }
-    }
-    return -1;
-}
-
 #if defined(__SSE2__)
-/** SSE2 probe: 8 signatures per step via cmpeq + movemask. */
+/** SSE2 probe: 8 signatures per step via cmpeq + movemask. @p sigs
+ *  must have sigStride(assoc) valid-to-read lanes. */
 inline int
 findWaySimd(const TagSig *sigs, const std::uint64_t *tags,
             std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
@@ -201,29 +98,19 @@ findWaySimd(const TagSig *sigs, const std::uint64_t *tags,
     }
     return -1;
 }
-#else
-inline int
-findWaySimd(const TagSig *sigs, const std::uint64_t *tags,
-            std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
-{
-    return findWaySwar(sigs, tags, valid_mask, assoc, tag);
-}
 #endif
 
-/** Probe through the process-wide mode (see tagSearchMode()). */
+/** The build's probe: SSE2 when compiled in, else the scalar scan. */
 inline int
 findWay(const TagSig *sigs, const std::uint64_t *tags,
         std::uint32_t valid_mask, unsigned assoc, std::uint64_t tag)
 {
-    switch (tagSearchMode()) {
-      case TagSearchMode::Scalar:
-        return findWayScalar(tags, valid_mask, assoc, tag);
-      case TagSearchMode::Swar:
-        return findWaySwar(sigs, tags, valid_mask, assoc, tag);
-      case TagSearchMode::Simd:
-        return findWaySimd(sigs, tags, valid_mask, assoc, tag);
-    }
+#if defined(__SSE2__)
+    return findWaySimd(sigs, tags, valid_mask, assoc, tag);
+#else
+    (void)sigs;
     return findWayScalar(tags, valid_mask, assoc, tag);
+#endif
 }
 
 } // namespace mem

@@ -605,24 +605,18 @@ StudyService::noteReplayCounters(const obs::CounterSet &counters)
     // The study runner emits one set per stack option under
     // "mem.<option>."; the daemon-level view is the sum over options
     // and over requests (monotonic, so rate() works).
-    double batches = 0.0, shards = 0.0, probes = 0.0, swar = 0.0;
+    double batches = 0.0, probes = 0.0;
     for (const auto &entry : counters.scalars()) {
         if (entry.first.compare(0, 4, "mem.") != 0)
             continue;
         if (endsWith(entry.first, ".replay.batches"))
             batches += entry.second;
-        else if (endsWith(entry.first, ".replay.shards"))
-            shards += entry.second;
         else if (endsWith(entry.first, ".tag_probe.probes"))
             probes += entry.second;
-        else if (endsWith(entry.first, ".tag_probe.swar_hits"))
-            swar += entry.second;
     }
     std::lock_guard<std::mutex> lock(_mutex);
     _replay_batches += batches;
-    _replay_shards += shards;
     _tag_probes += probes;
-    _tag_swar_hits += swar;
 }
 
 void
@@ -652,9 +646,7 @@ StudyService::appendServeCounters(obs::CounterSet &c) const
     c.set("serve.cache.entries", double(_cache.size()));
     c.set("serve.coalesced", double(_n_coalesced));
     c.set("serve.study.mem.replay.batches", _replay_batches);
-    c.set("serve.study.mem.replay.shards", _replay_shards);
     c.set("serve.study.mem.tag_probe.probes", _tag_probes);
-    c.set("serve.study.mem.tag_probe.swar_hits", _tag_swar_hits);
     c.set("serve.queue.high_water", double(_in_flight_high_water));
     c.set("serve.latency.hit.count", double(_n_hit));
     c.set("serve.latency.hit.total_s", _hit_seconds);

@@ -273,12 +273,9 @@ class StudyService
     std::uint64_t _n_hit = 0;
     std::uint64_t _n_cold = 0;
     /** Replay-path totals folded out of memory-study reports, so the
-     *  daemon's /metrics shows how much trace-replay work it has done
-     *  and which tag-probe path served it. */
+     *  daemon's /metrics shows how much trace-replay work it has done. */
     double _replay_batches = 0.0;
-    double _replay_shards = 0.0;
     double _tag_probes = 0.0;
-    double _tag_swar_hits = 0.0;
 
     /**
      * Latency instruments (seconds). Lock-free: record() happens on

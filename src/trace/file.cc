@@ -98,6 +98,19 @@ readTraceFile(const std::string &path)
                       " unsupported (expected ", kTraceFileVersion, ")");
     }
 
+    // The header's record count sizes the allocation below, so check
+    // it against the file before trusting it.
+    in.seekg(0, std::ios::end);
+    const std::uint64_t file_bytes = std::uint64_t(in.tellg());
+    in.seekg(std::streamoff(sizeof(Header)));
+    const std::uint64_t body_bytes = file_bytes - sizeof(Header);
+    if (!in || body_bytes % sizeof(PackedRecord) != 0 ||
+        body_bytes / sizeof(PackedRecord) != hdr.num_records) {
+        stack3d_fatal("trace file '", path, "' header claims ",
+                      hdr.num_records, " records but the file holds ",
+                      file_bytes, " bytes");
+    }
+
     std::vector<TraceRecord> records;
     records.reserve(hdr.num_records);
     constexpr std::size_t chunk = 1 << 16;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common substrate: logging, statistics, RNG,
- * units, tables, and the event queue.
+ * Unit tests for the common substrate: logging, RNG, units, tables,
+ * and the fault-injection registry.
  */
 
 #include <gtest/gtest.h>
@@ -9,10 +9,8 @@
 #include <set>
 #include <sstream>
 
-#include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/units.hh"
 
@@ -51,117 +49,6 @@ TEST(Logging, AssertPassesSilently)
 {
     stack3d_assert(true, "never shown");
     SUCCEED();
-}
-
-// ---------------------------------------------------------------------
-// stats
-// ---------------------------------------------------------------------
-
-TEST(Stats, ScalarAccumulates)
-{
-    stats::StatGroup group("g");
-    stats::Scalar s(&group, "count", "a counter");
-    s += 2.5;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s = 7.0;
-    EXPECT_DOUBLE_EQ(s.value(), 7.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
-TEST(Stats, AverageMean)
-{
-    stats::StatGroup group("g");
-    stats::Average avg(&group, "avg", "an average");
-    avg.sample(1.0);
-    avg.sample(2.0);
-    avg.sample(6.0);
-    EXPECT_DOUBLE_EQ(avg.mean(), 3.0);
-    EXPECT_EQ(avg.count(), 3u);
-    EXPECT_DOUBLE_EQ(avg.sum(), 9.0);
-}
-
-TEST(Stats, AverageEmptyIsZero)
-{
-    stats::StatGroup group("g");
-    stats::Average avg(&group, "avg", "empty");
-    EXPECT_DOUBLE_EQ(avg.mean(), 0.0);
-}
-
-TEST(Stats, DistributionBucketsAndMoments)
-{
-    stats::StatGroup group("g");
-    stats::Distribution d(&group, "d", "dist", 0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        d.sample(double(i) + 0.5);
-    d.sample(-1.0);   // underflow
-    d.sample(42.0);   // overflow
-
-    EXPECT_EQ(d.count(), 12u);
-    EXPECT_EQ(d.underflows(), 1u);
-    EXPECT_EQ(d.overflows(), 1u);
-    for (unsigned b = 0; b < 10; ++b)
-        EXPECT_EQ(d.bucketCount(b), 1u) << "bucket " << b;
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 42.0);
-    EXPECT_GT(d.stddev(), 0.0);
-}
-
-TEST(Stats, DistributionReset)
-{
-    stats::StatGroup group("g");
-    stats::Distribution d(&group, "d", "dist", 0.0, 1.0, 4);
-    d.sample(0.5);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.bucketCount(2), 0u);
-}
-
-TEST(Stats, FormulaComputesAtReadTime)
-{
-    stats::StatGroup group("g");
-    stats::Scalar a(&group, "a", "");
-    stats::Scalar b(&group, "b", "");
-    stats::Formula ratio(&group, "ratio", "a/b", [&]() {
-        // Exact-zero divisor guard. lint3d: safe-float-eq-ok
-        return b.value() != 0.0 ? a.value() / b.value() : 0.0;
-    });
-    a = 6.0;
-    b = 3.0;
-    EXPECT_DOUBLE_EQ(ratio.value(), 2.0);
-    b = 4.0;
-    EXPECT_DOUBLE_EQ(ratio.value(), 1.5);
-}
-
-TEST(Stats, GroupDumpContainsAll)
-{
-    stats::StatGroup root("sim");
-    stats::StatGroup child("cache", &root);
-    stats::Scalar hits(&child, "hits", "cache hits");
-    hits = 5;
-    std::ostringstream os;
-    root.dump(os);
-    EXPECT_NE(os.str().find("sim.cache.hits"), std::string::npos);
-    EXPECT_NE(os.str().find("cache hits"), std::string::npos);
-}
-
-TEST(Stats, GroupFindStat)
-{
-    stats::StatGroup group("g");
-    stats::Scalar s(&group, "present", "");
-    EXPECT_EQ(group.findStat("present"), &s);
-    EXPECT_EQ(group.findStat("absent"), nullptr);
-}
-
-TEST(Stats, GroupResetAllRecurses)
-{
-    stats::StatGroup root("r");
-    stats::StatGroup child("c", &root);
-    stats::Scalar s(&child, "s", "");
-    s = 9.0;
-    root.resetAll();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -323,71 +210,6 @@ TEST(TableDeathTest, TooManyCellsPanics)
     TextTable t({"only"});
     t.newRow().cell("one");
     EXPECT_DEATH(t.cell("two"), "more cells");
-}
-
-// ---------------------------------------------------------------------
-// event queue
-// ---------------------------------------------------------------------
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, TiesAreFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(5, [&order, i] { order.push_back(i); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&] {
-        q.schedule(q.now() + 5, [&] { ++fired; });
-    });
-    q.runAll();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 6u);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&] { ++fired; });
-    q.schedule(15, [&] { ++fired; });
-    q.runUntil(10);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 10u);
-    EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, RunOneOnEmptyReturnsFalse)
-{
-    EventQueue q;
-    EXPECT_FALSE(q.runOne());
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueDeathTest, PastSchedulingPanics)
-{
-    EventQueue q;
-    q.schedule(10, [] {});
-    q.runAll();
-    EXPECT_DEATH(q.schedule(5, [] {}), "past");
 }
 
 // ---------------------------------------------------------------------

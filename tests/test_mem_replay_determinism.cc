@@ -5,22 +5,20 @@
  *  - TraceEngine::run (event-driven issue, calendar-queue
  *    completions, SoA batched decode) is bit-identical to
  *    TraceEngine::runReference (the straightforward cycle-stepped
- *    engine kept as the oracle) for every model output;
- *  - runSharded produces the same merged result for every shard
- *    count whether shards execute serially or on a thread pool
- *    (bit-identical, not approximately equal);
- *  - the scalar / SWAR / SSE2 tag-search variants return the same
- *    way for every probe, across associativities 1-16 with partial
- *    sets, invalid ways, and signature collisions.
+ *    engine kept as the oracle) for every model output, on every
+ *    Figure 5 kernel and every Figure 7 organization;
+ *  - the SSE2 tag probe returns the same way as the scalar oracle for
+ *    every probe, across associativities 1-16 with partial sets,
+ *    invalid ways, and signature collisions.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
-#include "exec/pool.hh"
 #include "mem/engine.hh"
 #include "mem/hierarchy.hh"
 #include "mem/tagsearch.hh"
@@ -67,10 +65,11 @@ TEST(MemReplayDeterminism, FastEngineMatchesReference)
     const mem::StackOption options[] = {
         mem::StackOption::Baseline4MB,
         mem::StackOption::Sram12MB,
+        mem::StackOption::Dram32MB,
         mem::StackOption::Dram64MB,
     };
-    for (const char *name : {"sMVM", "gauss", "conj"}) {
-        trace::TraceBuffer buf = makeTrace(name, 20000);
+    for (const std::string &name : workloads::rmsKernelNames()) {
+        trace::TraceBuffer buf = makeTrace(name.c_str(), 20000);
         for (mem::StackOption opt : options) {
             mem::HierarchyParams hp = mem::makeHierarchyParams(opt);
             mem::MemoryHierarchy h_fast(hp);
@@ -78,75 +77,11 @@ TEST(MemReplayDeterminism, FastEngineMatchesReference)
             mem::TraceEngine eng;
             mem::EngineResult fast = eng.run(buf, h_fast);
             mem::EngineResult ref = eng.runReference(buf, h_ref);
-            expectResultsIdentical(fast, ref, name);
+            std::string what =
+                name + " / " + mem::stackOptionName(opt);
+            expectResultsIdentical(fast, ref, what.c_str());
         }
     }
-}
-
-TEST(MemReplayDeterminism, FastEngineMatchesReferenceAllTagModes)
-{
-    trace::TraceBuffer buf = makeTrace("sMVM", 20000);
-    mem::HierarchyParams hp =
-        mem::makeHierarchyParams(mem::StackOption::Dram32MB);
-    mem::EngineResult first;
-    int i = 0;
-    for (mem::TagSearchMode mode :
-         {mem::TagSearchMode::Scalar, mem::TagSearchMode::Swar,
-          mem::TagSearchMode::Simd}) {
-        mem::setTagSearchMode(mode);
-        mem::MemoryHierarchy h_fast(hp);
-        mem::MemoryHierarchy h_ref(hp);
-        mem::TraceEngine eng;
-        mem::EngineResult fast = eng.run(buf, h_fast);
-        mem::EngineResult ref = eng.runReference(buf, h_ref);
-        expectResultsIdentical(fast, ref, "tag mode");
-        if (i++ == 0)
-            first = fast;
-        else
-            expectResultsIdentical(fast, first, "across tag modes");
-    }
-    mem::clearTagSearchMode();
-}
-
-TEST(MemReplayDeterminism, ShardedBitIdenticalAcrossPools)
-{
-    trace::TraceBuffer buf = makeTrace("pcg", 20000);
-    mem::HierarchyParams hp =
-        mem::makeHierarchyParams(mem::StackOption::Sram12MB);
-    mem::TraceEngine eng;
-    for (unsigned shards : {1u, 2u, 8u}) {
-        mem::ShardedReplayResult serial =
-            eng.runSharded(buf, hp, shards, nullptr);
-        exec::ThreadPool pool(4);
-        mem::ShardedReplayResult threaded =
-            eng.runSharded(buf, hp, shards, &pool);
-        EXPECT_EQ(serial.cross_shard_deps, threaded.cross_shard_deps);
-        ASSERT_EQ(serial.shards.size(), threaded.shards.size());
-        for (unsigned s = 0; s < shards; ++s) {
-            expectResultsIdentical(serial.shards[s],
-                                   threaded.shards[s], "shard");
-        }
-        expectResultsIdentical(serial.merged, threaded.merged,
-                               "merged");
-        EXPECT_EQ(
-            serial.merged.counters.value("replay.shards"),
-            double(shards));
-    }
-}
-
-TEST(MemReplayDeterminism, ShardOneMatchesUnsharded)
-{
-    // One shard is the whole trace: the decomposition must be a
-    // no-op (no dropped dependencies, same result as run()).
-    trace::TraceBuffer buf = makeTrace("gauss", 20000);
-    mem::HierarchyParams hp =
-        mem::makeHierarchyParams(mem::StackOption::Baseline4MB);
-    mem::TraceEngine eng;
-    mem::ShardedReplayResult one = eng.runSharded(buf, hp, 1, nullptr);
-    EXPECT_EQ(one.cross_shard_deps, 0u);
-    mem::MemoryHierarchy h(hp);
-    mem::EngineResult whole = eng.run(buf, h);
-    expectResultsIdentical(one.shards[0], whole, "one-shard");
 }
 
 TEST(TagSearch, VariantsAgreeAcrossAssociativities)
@@ -174,29 +109,14 @@ TEST(TagSearch, VariantsAgreeAcrossAssociativities)
             for (std::uint64_t probe = 0; probe < 45; ++probe) {
                 int scalar = mem::findWayScalar(tags.data(), valid,
                                                 assoc, probe);
-                int swar =
-                    mem::findWaySwar(sigs.data(), tags.data(), valid,
-                                     assoc, probe);
+#if defined(__SSE2__)
                 int simd =
                     mem::findWaySimd(sigs.data(), tags.data(), valid,
                                      assoc, probe);
-                EXPECT_EQ(scalar, swar)
-                    << "assoc " << assoc << " probe " << probe;
                 EXPECT_EQ(scalar, simd)
                     << "assoc " << assoc << " probe " << probe;
+#endif
             }
         }
     }
-}
-
-TEST(TagSearch, ModeOverride)
-{
-    mem::setTagSearchMode(mem::TagSearchMode::Scalar);
-    EXPECT_EQ(mem::tagSearchMode(), mem::TagSearchMode::Scalar);
-    mem::setTagSearchMode(mem::TagSearchMode::Swar);
-    EXPECT_EQ(mem::tagSearchMode(), mem::TagSearchMode::Swar);
-    mem::clearTagSearchMode();
-    // Back to the process default (env-resolved); any value is
-    // acceptable, it just must not be stuck on the override.
-    (void)mem::tagSearchMode();
 }

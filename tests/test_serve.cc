@@ -695,6 +695,28 @@ TEST(PipeServer, OversizedLineGetsCleanErrorResponse)
     EXPECT_EQ(service.counters().value("serve.line_overflows"), 1.0);
 }
 
+TEST(PipeServer, DeeplyNestedLineGetsErrorAndServingContinues)
+{
+    // 400 000 nested brackets fit under the default line cap but
+    // would exhaust the stack of a parser that recursed on them.
+    serve::ServiceOptions options = tinyServiceOptions();
+    std::string deep(400000, '[');
+    ASSERT_LT(deep.size(), options.max_line_bytes);
+    serve::StudyService service(options);
+    std::istringstream in(deep + "\n" + std::string(kThermalRequest) +
+                          "\n");
+    std::ostringstream out;
+    std::uint64_t handled = serve::runPipeServer(service, in, out);
+    EXPECT_EQ(handled, 2u);
+    std::istringstream lines(out.str());
+    std::string first, second;
+    ASSERT_TRUE(std::getline(lines, first));
+    ASSERT_TRUE(std::getline(lines, second));
+    EXPECT_EQ(parsed(first).find("status")->string, "error");
+    EXPECT_NE(first.find("nesting"), std::string::npos);
+    EXPECT_EQ(parsed(second).find("status")->string, "ok");
+}
+
 // ---------------------------------------------------------------------
 // telemetry: trace IDs, stats/health/flight ops, both transports
 // ---------------------------------------------------------------------

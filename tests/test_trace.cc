@@ -329,6 +329,18 @@ TEST(TraceFile, TruncatedIsFatal)
     writeTraceFile(path, buf);
     std::filesystem::resize_file(path, 100);
     EXPECT_THROW(readTraceFile(path), std::runtime_error);
+
+    // A header claiming 2^40 records over the same short body must be
+    // rejected before anything is allocated for them.
+    writeTraceFile(path, buf);
+    {
+        std::fstream f(path, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        const std::uint64_t huge = std::uint64_t(1) << 40;
+        f.seekp(16);   // Header::num_records
+        f.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
+    }
+    EXPECT_THROW(readTraceFile(path), std::runtime_error);
     std::remove(path.c_str());
 }
 

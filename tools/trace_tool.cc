@@ -10,7 +10,8 @@
  *
  *   trace_tool run <file.trace> <4|12|32|64>
  *       Simulate the trace against one Figure 7 cache organization
- *       and print CPMA / bandwidth plus the full hierarchy stats.
+ *       and print CPMA / bandwidth plus the run's counters
+ *       (EngineResult::counters), one "name value" line each.
  *
  *   trace_tool stats <file.trace> [4|12|32|64] [--json]
  *       Replay the trace (default: the 32 MB DRAM cache) and dump
@@ -150,7 +151,8 @@ cmdRun(core::BenchCli &cli, const std::vector<std::string> &args)
                 mem::stackOptionName(opt), res.cpma, res.offdie_gbps,
                 res.bus_power_w, (unsigned long long)res.total_cycles);
     std::printf("\n");
-    hier.dumpStats(std::cout);
+    for (const auto &[key, value] : res.counters.scalars())
+        std::printf("  %-36s %.6g\n", key.c_str(), value);
     return cli.finish();
 }
 
