@@ -15,7 +15,6 @@
 #include "exec/pool.hh"
 #include "mem/engine.hh"
 #include "mem/tagsearch.hh"
-#include "trace/columns.hh"
 #include "obs/histogram.hh"
 #include "obs/trace.hh"
 #include "serve/service.hh"
@@ -152,24 +151,6 @@ BM_TraceEngineReference(benchmark::State &state)
                             std::int64_t(buf.size()));
 }
 BENCHMARK(BM_TraceEngineReference)->Unit(benchmark::kMillisecond);
-
-void
-BM_TraceDecode(benchmark::State &state)
-{
-    workloads::WorkloadConfig cfg;
-    cfg.records_per_thread = 100000;
-    auto kernel = workloads::makeRmsKernel("sMVM");
-    trace::TraceBuffer buf = kernel->generate(cfg);
-
-    trace::TraceColumns cols;
-    for (auto _ : state) {
-        cols.assign(buf);
-        benchmark::DoNotOptimize(cols.addr());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            std::int64_t(buf.size()));
-}
-BENCHMARK(BM_TraceDecode);
 
 void
 BM_TraceGeneration(benchmark::State &state)

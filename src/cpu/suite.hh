@@ -45,6 +45,9 @@ struct SuiteResult
 
     unsigned num_traces = 0;
 
+    /** IPC of each trace, in suite order (not serialized). */
+    std::vector<double> trace_ipc;
+
     // Pipeline activity summed over every trace of the suite run —
     // the per-stage stall / squash attribution behind the IPC.
     std::uint64_t uops = 0;
@@ -86,10 +89,6 @@ class TraceSuite
 
     /** Run one configuration over every trace. */
     SuiteResult run(const PipelineConfig &config) const;
-
-    /** Geomean speedup of @p config relative to @p baseline. */
-    double speedupOver(const PipelineConfig &baseline,
-                       const PipelineConfig &config) const;
 
     unsigned numTraces() const { return unsigned(_traces.size()); }
 

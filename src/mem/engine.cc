@@ -10,7 +10,7 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
-#include "trace/columns.hh"
+#include "trace/buffer.hh"
 
 namespace stack3d {
 namespace mem {
@@ -57,19 +57,16 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                        _params.warmup_fraction < 1.0,
                    "warmup fraction must be in [0, 1)");
 
-    // Batched SoA decode, cached on the buffer: studies replay the
-    // same trace once per stack option (and benchmarks once per
-    // rep), so the decode and the per-cpu order index are built on
-    // first replay and reused by every later one. The issue loop
-    // below reads the narrow column arrays, not the 32-byte records.
-    const trace::TraceColumns &cols = buf.columns();
-    const std::uint64_t *addr_col = cols.addr();
-    const std::uint64_t *dep_col = cols.dep();
-    const std::uint8_t *cpu_col = cols.cpu();
-    const trace::MemOp *op_col = cols.op();
+    // The issue loop below reads the narrow column arrays the buffer
+    // stores, never assembled 32-byte rows.
+    const trace::TraceBuffer::Columns &cols = buf.columns();
+    const Addr *addr_col = cols.addr.data();
+    const std::uint32_t *dep_col = cols.dep.data();
+    const std::uint8_t *cpu_col = cols.cpu.data();
+    const trace::MemOp *op_col = cols.op.data();
 
-    if (cols.numCpus() > num_cpus) {
-        stack3d_fatal("trace references cpu ", cols.numCpus() - 1,
+    if (buf.numCpus() > num_cpus) {
+        stack3d_fatal("trace references cpu ", buf.numCpus() - 1,
                       " but the hierarchy has ", num_cpus);
     }
 
@@ -81,17 +78,6 @@ TraceEngine::run(const trace::TraceBuffer &buf,
     // table and the linked-list issue windows. One backing
     // allocation, zero per-access churn.
     Arena arena;
-
-    // Per-cpu program-order lists, prefix-bucketed into one array
-    // (cached alongside the columns). Cpus past the trace's highest
-    // id have zero records and an empty bucket.
-    const std::uint32_t *order = cols.order();
-    std::vector<std::uint64_t> cpu_count(num_cpus, 0);
-    std::vector<std::uint64_t> order_base(num_cpus, 0);
-    for (unsigned c = 0; c < num_cpus; ++c) {
-        cpu_count[c] = cols.cpuCount(c);
-        order_base[c] = cols.orderBase(c);
-    }
 
     Cycles *completion = arena.allocate<Cycles>(n);
     std::fill(completion, completion + n, kPending);
@@ -130,7 +116,12 @@ TraceEngine::run(const trace::TraceBuffer &buf,
     std::vector<std::uint32_t> heap_size(num_cpus, 0);
     std::vector<std::uint32_t> free_top(num_cpus, window);
     std::vector<std::uint32_t> live(num_cpus, 0);
-    std::vector<std::uint64_t> pos(num_cpus, 0);
+    // Next row to refill each cpu's window from, walking the buffer's
+    // per-cpu program-order chain (kNoRow once the cpu is exhausted;
+    // cpus past the trace's highest id start there).
+    std::vector<std::uint32_t> cursor(num_cpus);
+    for (unsigned c = 0; c < num_cpus; ++c)
+        cursor[c] = buf.firstRow(c);
     std::vector<unsigned> inflight(num_cpus, 0);
     for (unsigned c = 0; c < num_cpus; ++c) {
         // Free stacks hold pool-global node ids; a node is owned by
@@ -366,14 +357,14 @@ TraceEngine::run(const trace::TraceBuffer &buf,
             // completed by now chains onto the dependency's waiter
             // list; everything else goes straight to the ready heap.
             std::uint32_t *stack = free_stack + std::size_t(c) * window;
-            const std::uint64_t base = order_base[c];
-            while (pos[c] < cpu_count[c] &&
+            while (cursor[c] != trace::kNoRow &&
                    live[c] + inflight[c] < window) {
-                std::uint32_t idx = order[base + pos[c]++];
+                const std::uint32_t idx = cursor[c];
+                cursor[c] = buf.nextRow(idx);
                 ++live[c];
-                std::uint64_t d =
-                    honor_deps ? dep_col[idx] : trace::kNoDep;
-                if (d != trace::kNoDep && completion[d] > now) {
+                std::uint32_t d =
+                    honor_deps ? dep_col[idx] : trace::kNoRow;
+                if (d != trace::kNoRow && completion[d] > now) {
                     // Covers both an unissued dependency (kPending)
                     // and one completing in the future; either way
                     // the chain is walked at the dependency's retire.
@@ -385,8 +376,6 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                     fifoPush(c, idx);
                 }
             }
-            S3D_DCHECK(pos[c] <= cpu_count[c])
-                << "cpu=" << c << " pos=" << pos[c];
             S3D_DCHECK(live[c] + inflight[c] <= window)
                 << "cpu=" << c << " window=" << live[c] << "+"
                 << inflight[c];
@@ -400,7 +389,7 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                 // always points at an older record.
                 S3D_DCHECK(completion[idx] == kPending)
                     << "record " << idx << " issued twice";
-                S3D_DCHECK(dep_col[idx] == trace::kNoDep ||
+                S3D_DCHECK(dep_col[idx] == trace::kNoRow ||
                            dep_col[idx] < idx)
                     << "record " << idx << " depends on "
                     << dep_col[idx];
@@ -476,8 +465,6 @@ TraceEngine::run(const trace::TraceBuffer &buf,
                         double(measured_records));
     result.counters.set("engine.warmup_cycles",
                         double(warmup_cycles));
-    result.counters.set("replay.batches",
-                        double(cols.decodeBatches()));
     for (unsigned b = 0; b < 4; ++b)
         result.latency_frac[b] =
             double(lat_buckets[b]) / double(measured_records);
@@ -592,17 +579,16 @@ TraceEngine::runReference(const trace::TraceBuffer &buf,
             std::size_t kept = 0;
             for (std::size_t k = 0; k < window.size(); ++k) {
                 std::uint32_t idx = window[k];
+                const trace::TraceRecord rec = buf[idx];
                 bool ready = issued < _params.issue_width;
-                if (ready && _params.honor_dependencies &&
-                    buf[idx].hasDep()) {
-                    Cycles dep_done = completion[buf[idx].dep];
+                if (ready && _params.honor_dependencies && rec.hasDep()) {
+                    Cycles dep_done = completion[rec.dep];
                     ready = dep_done != kPending && dep_done <= now;
                 }
                 if (!ready) {
                     window[kept++] = idx;
                     continue;
                 }
-                const trace::TraceRecord &rec = buf[idx];
                 // Each record issues exactly once, and a dependency
                 // always points at an older record.
                 S3D_DCHECK(completion[idx] == kPending)

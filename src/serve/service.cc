@@ -605,17 +605,13 @@ StudyService::noteReplayCounters(const obs::CounterSet &counters)
     // The study runner emits one set per stack option under
     // "mem.<option>."; the daemon-level view is the sum over options
     // and over requests (monotonic, so rate() works).
-    double batches = 0.0, probes = 0.0;
+    double probes = 0.0;
     for (const auto &entry : counters.scalars()) {
-        if (entry.first.compare(0, 4, "mem.") != 0)
-            continue;
-        if (endsWith(entry.first, ".replay.batches"))
-            batches += entry.second;
-        else if (endsWith(entry.first, ".tag_probe.probes"))
+        if (entry.first.compare(0, 4, "mem.") == 0 &&
+            endsWith(entry.first, ".tag_probe.probes"))
             probes += entry.second;
     }
     std::lock_guard<std::mutex> lock(_mutex);
-    _replay_batches += batches;
     _tag_probes += probes;
 }
 
@@ -645,7 +641,6 @@ StudyService::appendServeCounters(obs::CounterSet &c) const
     c.set("serve.cache.scrubbed", double(_cache.stats().scrubbed));
     c.set("serve.cache.entries", double(_cache.size()));
     c.set("serve.coalesced", double(_n_coalesced));
-    c.set("serve.study.mem.replay.batches", _replay_batches);
     c.set("serve.study.mem.tag_probe.probes", _tag_probes);
     c.set("serve.queue.high_water", double(_in_flight_high_water));
     c.set("serve.latency.hit.count", double(_n_hit));

@@ -236,8 +236,8 @@ class StudyService
     /** Append the serve.* scalar counters (the registry provider). */
     void appendServeCounters(obs::CounterSet &out) const;
 
-    /** Fold a memory-study report's replay/tag-probe counters into
-     *  the serve.study.mem.* totals (takes _mutex). */
+    /** Fold a memory-study report's tag-probe counters into the
+     *  serve.study.mem.tag_probe.probes total (takes _mutex). */
     void noteReplayCounters(const obs::CounterSet &counters);
 
     /** Note one terminal request outcome in the flight recorder. */
@@ -272,9 +272,8 @@ class StudyService
     double _cold_seconds = 0.0;
     std::uint64_t _n_hit = 0;
     std::uint64_t _n_cold = 0;
-    /** Replay-path totals folded out of memory-study reports, so the
-     *  daemon's /metrics shows how much trace-replay work it has done. */
-    double _replay_batches = 0.0;
+    /** Tag probes folded out of memory-study reports, so the daemon's
+     *  /metrics shows how much trace-replay work it has done. */
     double _tag_probes = 0.0;
 
     /**

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "trace/columns.hh"
+#include "common/logging.hh"
 
 namespace stack3d {
 namespace trace {
@@ -21,86 +21,70 @@ memOpName(MemOp op)
     return "unknown";
 }
 
-TraceBuffer::TraceBuffer(std::vector<TraceRecord> records)
-    : _records(std::move(records))
+void
+TraceBuffer::reserve(std::size_t rows)
 {
+    _cols.addr.reserve(rows);
+    _cols.ip.reserve(rows);
+    _cols.dep.reserve(rows);
+    _cols.cpu.reserve(rows);
+    _cols.op.reserve(rows);
+    _cols.size.reserve(rows);
+    _next.reserve(rows);
 }
 
-TraceBuffer::TraceBuffer(const TraceBuffer &other)
-    : _records(other._records)
+void
+TraceBuffer::append(const TraceRecord &rec)
 {
-}
+    const std::size_t n = size();
+    stack3d_assert(n < kMaxTraceRecords, "trace exceeds ",
+                   kMaxTraceRecords, " records");
+    stack3d_assert(!rec.hasDep() || rec.dep < kNoRow, "dependency ",
+                   rec.dep, " does not fit the dep column");
+    const std::uint32_t row = std::uint32_t(n);
+    _cols.addr.push_back(rec.addr);
+    _cols.ip.push_back(rec.ip);
+    _cols.dep.push_back(rec.hasDep() ? std::uint32_t(rec.dep) : kNoRow);
+    _cols.cpu.push_back(rec.cpu);
+    _cols.op.push_back(rec.op);
+    _cols.size.push_back(rec.size);
 
-TraceBuffer &
-TraceBuffer::operator=(const TraceBuffer &other)
-{
-    if (this != &other) {
-        _records = other._records;
-        // lint3d: safe-naked-new-ok (atomic publish owns the cache)
-        delete _columns.exchange(nullptr, std::memory_order_acq_rel);
+    _next.push_back(kNoRow);
+    if (rec.cpu >= _first.size()) {
+        _first.resize(std::size_t(rec.cpu) + 1, kNoRow);
+        _last.resize(std::size_t(rec.cpu) + 1, kNoRow);
     }
-    return *this;
+    if (_last[rec.cpu] == kNoRow)
+        _first[rec.cpu] = row;
+    else
+        _next[_last[rec.cpu]] = row;
+    _last[rec.cpu] = row;
 }
 
-TraceBuffer::TraceBuffer(TraceBuffer &&other) noexcept
-    : _records(std::move(other._records)),
-      _columns(other._columns.exchange(nullptr,
-                                       std::memory_order_acq_rel))
+TraceRecord
+TraceBuffer::operator[](std::size_t i) const
 {
-}
-
-TraceBuffer &
-TraceBuffer::operator=(TraceBuffer &&other) noexcept
-{
-    if (this != &other) {
-        _records = std::move(other._records);
-        // lint3d: safe-naked-new-ok (atomic publish owns the cache)
-        delete _columns.exchange(
-            other._columns.exchange(nullptr,
-                                    std::memory_order_acq_rel),
-            std::memory_order_acq_rel);
-    }
-    return *this;
-}
-
-TraceBuffer::~TraceBuffer()
-{
-    // lint3d: safe-naked-new-ok (atomic publish owns the cache)
-    delete _columns.load(std::memory_order_acquire);
-}
-
-const TraceColumns &
-TraceBuffer::columns() const
-{
-    const TraceColumns *cols = _columns.load(std::memory_order_acquire);
-    if (cols)
-        return *cols;
-    // First use (or a race between first users): decode off to the
-    // side, then try to publish. Exactly one decode wins; a loser
-    // frees its copy and reads the winner's.
-    // The cache pointer is published by CAS; std::atomic cannot hold
-    // a unique_ptr, so lifetime is managed manually here and released
-    // in the special members.
-    // lint3d: safe-naked-new-ok (CAS-published owner)
-    auto *fresh = new TraceColumns(*this);
-    const TraceColumns *expected = nullptr;
-    if (_columns.compare_exchange_strong(expected, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-        return *fresh;
-    }
-    delete fresh; // lint3d: safe-naked-new-ok (lost the publish race)
-    return *expected;
+    TraceRecord rec;
+    rec.addr = _cols.addr[i];
+    rec.ip = _cols.ip[i];
+    if (_cols.dep[i] != kNoRow)
+        rec.dep = _cols.dep[i];
+    rec.cpu = _cols.cpu[i];
+    rec.op = _cols.op[i];
+    rec.size = _cols.size[i];
+    return rec;
 }
 
 bool
 TraceBuffer::validate() const
 {
-    for (std::size_t i = 0; i < _records.size(); ++i) {
-        const TraceRecord &rec = _records[i];
+    for (std::size_t i = 0; i < size(); ++i) {
+        const TraceRecord rec = (*this)[i];
         if (rec.hasDep() && rec.dep >= i)
             return false;
         if (rec.size == 0 || rec.size > 64)
+            return false;
+        if (rec.op > MemOp::Ifetch)
             return false;
     }
     return true;
@@ -110,18 +94,18 @@ TraceStats
 TraceBuffer::computeStats() const
 {
     TraceStats st;
-    st.num_records = _records.size();
+    st.num_records = size();
 
     // Unique 64 B lines via sort+unique: deterministic (no hash
     // iteration anywhere near results) and cache-friendlier than a
     // node-based set for multi-million-record traces.
     std::vector<Addr> lines;
-    lines.reserve(_records.size());
+    lines.reserve(size());
     // depth[i] = length of the dependency chain ending at record i.
-    std::vector<std::uint32_t> depth(_records.size(), 1);
+    std::vector<std::uint32_t> depth(size(), 1);
 
-    for (std::size_t i = 0; i < _records.size(); ++i) {
-        const TraceRecord &rec = _records[i];
+    for (std::size_t i = 0; i < size(); ++i) {
+        const TraceRecord rec = (*this)[i];
         switch (rec.op) {
           case MemOp::Load:
             ++st.num_loads;

@@ -1,14 +1,20 @@
 /**
  * @file
  * In-memory trace container with summary statistics (operation mix,
- * footprint, dependency-chain properties). Traces are immutable once
- * built by a writer; the memory-hierarchy engine iterates them.
+ * footprint, dependency-chain properties).
+ *
+ * A trace is stored as columns, one array per record field, plus a
+ * per-cpu program-order index that links each row to the next row of
+ * the same cpu. Both are filled row by row through append(), the one
+ * way records enter a buffer (the writer, the merger and the file
+ * reader all use it). The replay engine streams the narrow columns
+ * and the order index; everything else reads rows through
+ * operator[], which assembles a TraceRecord by value.
  */
 
 #ifndef STACK3D_TRACE_BUFFER_HH
 #define STACK3D_TRACE_BUFFER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -17,7 +23,17 @@
 namespace stack3d {
 namespace trace {
 
-class TraceColumns;
+/**
+ * Sentinel row index: "no dependency" in the 32-bit dep column, and
+ * the end of a cpu's program-order chain.
+ */
+constexpr std::uint32_t kNoRow = ~std::uint32_t(0);
+
+/**
+ * Most records one trace may hold (2^32 - 1): row indices fit the
+ * 32-bit dep column and order chain, and never collide with kNoRow.
+ */
+constexpr std::uint64_t kMaxTraceRecords = kNoRow;
 
 /** Summary statistics of a trace. */
 struct TraceStats
@@ -37,52 +53,73 @@ struct TraceStats
     std::uint64_t records_cpu1 = 0;
 };
 
-/** An immutable sequence of trace records. */
+/** A sequence of trace records, stored column by column. */
 class TraceBuffer
 {
   public:
-    TraceBuffer() = default;
-    explicit TraceBuffer(std::vector<TraceRecord> records);
+    /** The record fields, one array each, indexed by row. */
+    struct Columns
+    {
+        std::vector<Addr> addr;
+        std::vector<Addr> ip;
+        /** Row this one depends on, or kNoRow. */
+        std::vector<std::uint32_t> dep;
+        std::vector<std::uint8_t> cpu;
+        std::vector<MemOp> op;
+        std::vector<std::uint8_t> size;
+    };
 
-    // Copies share nothing; the column cache is rebuilt on demand.
-    TraceBuffer(const TraceBuffer &other);
-    TraceBuffer &operator=(const TraceBuffer &other);
-    TraceBuffer(TraceBuffer &&other) noexcept;
-    TraceBuffer &operator=(TraceBuffer &&other) noexcept;
-    ~TraceBuffer();
+    /** Pre-size the columns and order chain for @p rows records. */
+    void reserve(std::size_t rows);
 
-    const TraceRecord &operator[](std::size_t i) const { return _records[i]; }
-    std::size_t size() const { return _records.size(); }
-    bool empty() const { return _records.empty(); }
+    /**
+     * Append one record as the next row. Its dependency, if any, must
+     * fit the dep column (validate() checks that it is an earlier
+     * row), and the buffer must hold fewer than kMaxTraceRecords.
+     */
+    void append(const TraceRecord &rec);
 
-    auto begin() const { return _records.begin(); }
-    auto end() const { return _records.end(); }
+    /** Row @p i assembled from the columns. */
+    TraceRecord operator[](std::size_t i) const;
 
-    const std::vector<TraceRecord> &records() const { return _records; }
+    std::size_t size() const { return _cols.addr.size(); }
+    bool empty() const { return _cols.addr.empty(); }
+
+    const Columns &columns() const { return _cols; }
+
+    /** Highest cpu id seen plus one (0 for an empty trace). */
+    unsigned numCpus() const { return unsigned(_first.size()); }
+
+    /** First row issued by @p cpu, or kNoRow (also past numCpus()). */
+    std::uint32_t
+    firstRow(unsigned cpu) const
+    {
+        return cpu < _first.size() ? _first[cpu] : kNoRow;
+    }
+
+    /** The next row of @p row's cpu in program order, or kNoRow. */
+    std::uint32_t nextRow(std::size_t row) const { return _next[row]; }
 
     /**
      * Validate structural invariants: every dependency points at an
-     * earlier record. @return true if well-formed.
+     * earlier record, every size is in [1, 64] and every op is a
+     * MemOp. @return true if well-formed.
      */
     [[nodiscard]] bool validate() const;
 
     /** Compute summary statistics (O(n), walks the whole trace). */
     TraceStats computeStats() const;
 
-    /**
-     * SoA decode of this trace, built lazily on first use and cached
-     * for the buffer's lifetime. Studies and benchmarks replay the
-     * same immutable buffer many times (once per stack option, per
-     * rep); decoding and order-indexing it once amortizes that work
-     * across every replay. Thread-safe: concurrent first callers
-     * race to publish one decode, losers discard theirs.
-     */
-    const TraceColumns &columns() const;
-
   private:
-    std::vector<TraceRecord> _records;
-    /** Lazily built column cache; owned, never mutated once set. */
-    mutable std::atomic<const TraceColumns *> _columns{nullptr};
+    Columns _cols;
+    /**
+     * Per-cpu program-order index, linked as rows are appended: each
+     * cpu's rows form a chain from _first[cpu] through _next to
+     * _last[cpu].
+     */
+    std::vector<std::uint32_t> _next;
+    std::vector<std::uint32_t> _first;
+    std::vector<std::uint32_t> _last;
 };
 
 } // namespace trace

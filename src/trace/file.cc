@@ -59,7 +59,7 @@ writeTraceFile(const std::string &path, const TraceBuffer &buf)
     std::vector<PackedRecord> pack;
     pack.reserve(chunk);
     for (std::size_t i = 0; i < buf.size(); ++i) {
-        const TraceRecord &rec = buf[i];
+        const TraceRecord rec = buf[i];
         PackedRecord p{};
         p.addr = rec.addr;
         p.ip = rec.ip;
@@ -99,7 +99,12 @@ readTraceFile(const std::string &path)
     }
 
     // The header's record count sizes the allocation below, so check
-    // it against the file before trusting it.
+    // it against the trace limit and the file before trusting it.
+    if (hdr.num_records > kMaxTraceRecords) {
+        stack3d_fatal("trace file '", path, "' header claims ",
+                      hdr.num_records, " records; a trace holds at most ",
+                      kMaxTraceRecords);
+    }
     in.seekg(0, std::ios::end);
     const std::uint64_t file_bytes = std::uint64_t(in.tellg());
     in.seekg(std::streamoff(sizeof(Header)));
@@ -111,8 +116,8 @@ readTraceFile(const std::string &path)
                       file_bytes, " bytes");
     }
 
-    std::vector<TraceRecord> records;
-    records.reserve(hdr.num_records);
+    TraceBuffer buf;
+    buf.reserve(hdr.num_records);
     constexpr std::size_t chunk = 1 << 16;
     std::vector<PackedRecord> pack(chunk);
     std::uint64_t remaining = hdr.num_records;
@@ -125,6 +130,12 @@ readTraceFile(const std::string &path)
             stack3d_fatal("truncated trace file '", path, "'");
         for (std::size_t i = 0; i < n; ++i) {
             const PackedRecord &p = pack[i];
+            // A dependency past the last record cannot be stored, let
+            // alone be earlier; validate() checks the rest below.
+            if (p.dep != kNoDep && p.dep >= hdr.num_records) {
+                stack3d_fatal("trace file '", path,
+                              "' contains invalid records");
+            }
             TraceRecord rec;
             rec.addr = p.addr;
             rec.ip = p.ip;
@@ -132,12 +143,11 @@ readTraceFile(const std::string &path)
             rec.cpu = p.cpu;
             rec.op = MemOp(p.op);
             rec.size = p.size;
-            records.push_back(rec);
+            buf.append(rec);
         }
         remaining -= n;
     }
 
-    TraceBuffer buf(std::move(records));
     if (!buf.validate())
         stack3d_fatal("trace file '", path, "' contains invalid records");
     return buf;

@@ -26,7 +26,9 @@ void writeTraceFile(const std::string &path, const TraceBuffer &buf);
 
 /**
  * Read a trace file written by writeTraceFile().
- * Calls stack3d_fatal() on missing file, bad magic, or bad version.
+ * Calls stack3d_fatal() on missing file, bad magic, bad version, a
+ * record count the file does not hold (or over kMaxTraceRecords), or
+ * records that fail TraceBuffer::validate().
  */
 TraceBuffer readTraceFile(const std::string &path);
 

@@ -1,5 +1,7 @@
 #include "writer.hh"
 
+#include <utility>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 
@@ -7,12 +9,12 @@ namespace stack3d {
 namespace trace {
 
 RecordId
-ThreadTracer::push(TraceRecord rec)
+ThreadTracer::push(const TraceRecord &rec)
 {
     RecordId id = _records.size();
     stack3d_assert(!rec.hasDep() || rec.dep < id,
                    "dependency must reference an earlier record");
-    _records.push_back(rec);
+    _records.append(rec);
     return id;
 }
 
@@ -28,7 +30,7 @@ ThreadTracer::load(Addr addr, Addr ip, RecordId addr_dep, std::uint8_t size)
 
     if (addr_dep != kNone) {
         rec.dep = addr_dep;
-    } else if (_track_raw) {
+    } else {
         auto it = _last_writer.find(addr >> 6);
         if (it != _last_writer.end())
             rec.dep = it->second;
@@ -49,8 +51,7 @@ ThreadTracer::store(Addr addr, Addr ip, RecordId data_dep, std::uint8_t size)
         rec.dep = data_dep;
 
     RecordId id = push(rec);
-    if (_track_raw)
-        _last_writer[addr >> 6] = id;
+    _last_writer[addr >> 6] = id;
     return id;
 }
 
@@ -66,27 +67,29 @@ ThreadTracer::ifetch(Addr addr, std::uint8_t size)
     return push(rec);
 }
 
-std::vector<TraceRecord>
+TraceBuffer
 ThreadTracer::take()
 {
     _last_writer.clear();
-    return std::move(_records);
+    return std::exchange(_records, TraceBuffer());
 }
 
 TraceBuffer
-TraceMerger::merge(std::vector<std::vector<TraceRecord>> thread_traces) const
+TraceMerger::merge(std::vector<TraceBuffer> thread_traces) const
 {
     stack3d_assert(_chunk > 0, "merge chunk must be positive");
 
-    std::size_t total = 0;
-    for (const auto &tt : thread_traces)
+    std::uint64_t total = 0;
+    for (const TraceBuffer &tt : thread_traces)
         total += tt.size();
+    stack3d_assert(total <= kMaxTraceRecords, "merged trace of ", total,
+                   " records exceeds ", kMaxTraceRecords);
 
-    std::vector<TraceRecord> merged;
+    TraceBuffer merged;
     merged.reserve(total);
 
     // For each thread, map local record id -> merged id.
-    std::vector<std::vector<std::uint64_t>> remap(thread_traces.size());
+    std::vector<std::vector<std::uint32_t>> remap(thread_traces.size());
     for (std::size_t t = 0; t < thread_traces.size(); ++t)
         remap[t].resize(thread_traces[t].size());
 
@@ -95,7 +98,7 @@ TraceMerger::merge(std::vector<std::vector<TraceRecord>> thread_traces) const
     while (progress) {
         progress = false;
         for (std::size_t t = 0; t < thread_traces.size(); ++t) {
-            auto &src = thread_traces[t];
+            const TraceBuffer &src = thread_traces[t];
             std::size_t take_n = std::min(_chunk, src.size() - pos[t]);
             for (std::size_t k = 0; k < take_n; ++k) {
                 std::size_t local = pos[t] + k;
@@ -109,8 +112,8 @@ TraceMerger::merge(std::vector<std::vector<TraceRecord>> thread_traces) const
                     rec.dep = remap[t][S3D_BOUNDS(rec.dep,
                                                   remap[t].size())];
                 }
-                remap[t][local] = merged.size();
-                merged.push_back(rec);
+                remap[t][local] = std::uint32_t(merged.size());
+                merged.append(rec);
             }
             pos[t] += take_n;
             progress = progress || take_n > 0;
@@ -119,9 +122,8 @@ TraceMerger::merge(std::vector<std::vector<TraceRecord>> thread_traces) const
 
     S3D_DCHECK(merged.size() == total)
         << "merged " << merged.size() << " of " << total;
-    TraceBuffer buf(std::move(merged));
-    stack3d_assert(buf.validate(), "merged trace failed validation");
-    return buf;
+    stack3d_assert(merged.validate(), "merged trace failed validation");
+    return merged;
 }
 
 } // namespace trace

@@ -46,14 +46,8 @@ constexpr RecordId kNone = kNoDep;
 class ThreadTracer
 {
   public:
-    /**
-     * @param cpu  cpu id stamped on every record
-     * @param track_raw  track store->load dependencies through memory
-     */
-    explicit ThreadTracer(std::uint8_t cpu, bool track_raw = true)
-        : _cpu(cpu), _track_raw(track_raw)
-    {
-    }
+    /** @param cpu  cpu id stamped on every record */
+    explicit ThreadTracer(std::uint8_t cpu) : _cpu(cpu) {}
 
     /**
      * Record a load.
@@ -87,14 +81,13 @@ class ThreadTracer
     std::size_t size() const { return _records.size(); }
 
     /** Steal the accumulated records (tracer resets to empty). */
-    std::vector<TraceRecord> take();
+    TraceBuffer take();
 
   private:
-    RecordId push(TraceRecord rec);
+    RecordId push(const TraceRecord &rec);
 
     std::uint8_t _cpu;
-    bool _track_raw;
-    std::vector<TraceRecord> _records;
+    TraceBuffer _records;
     /**
      * 64 B line -> id of last store to it. Ordered map by policy
      * (lint3d det-unordered-container): only point lookups today,
@@ -118,9 +111,9 @@ class TraceMerger
      * Interleave @p thread_traces (already stamped with cpu ids).
      * Dependencies always reference records from the same source
      * thread, so remapping preserves the "earlier record" invariant.
+     * The merged trace must hold at most kMaxTraceRecords records.
      */
-    TraceBuffer merge(std::vector<std::vector<TraceRecord>> thread_traces)
-        const;
+    TraceBuffer merge(std::vector<TraceBuffer> thread_traces) const;
 
   private:
     std::size_t _chunk;

@@ -105,9 +105,10 @@ class KernelContext
           _budget(budget), _tracer(std::uint8_t(thread_id)),
           _rng(seed ^ (0x9e3779b9ULL * (thread_id + 1)))
     {
-        // Kernels stop within one loop body of the budget, so this
-        // single reservation absorbs nearly every regrowth copy.
-        _tracer.reserve(budget);
+        // Kernels stop within one loop body past the budget; the
+        // headroom absorbs that overshoot, so the columns are
+        // allocated once instead of doubled for the last few rows.
+        _tracer.reserve(budget + budget / 64 + 4096);
     }
 
     unsigned threadId() const { return _thread_id; }
@@ -173,7 +174,7 @@ class KernelContext
     }
 
     /** Steal the thread's records (called by the generator). */
-    std::vector<trace::TraceRecord> takeRecords() { return _tracer.take(); }
+    trace::TraceBuffer takeRecords() { return _tracer.take(); }
 
   private:
     static Addr siteIp(unsigned site) { return 0x400000 + Addr(site) * 16; }

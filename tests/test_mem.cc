@@ -500,7 +500,10 @@ namespace {
 trace::TraceBuffer
 makeTrace(const std::vector<trace::TraceRecord> &recs)
 {
-    return trace::TraceBuffer(std::vector<trace::TraceRecord>(recs));
+    trace::TraceBuffer buf;
+    for (const trace::TraceRecord &rec : recs)
+        buf.append(rec);
+    return buf;
 }
 
 trace::TraceRecord

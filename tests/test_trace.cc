@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/digest.hh"
 #include "trace/buffer.hh"
 #include "trace/file.hh"
 #include "trace/record.hh"
@@ -24,6 +25,19 @@ using namespace stack3d::trace;
 // ---------------------------------------------------------------------
 // records and buffers
 // ---------------------------------------------------------------------
+
+namespace {
+
+TraceBuffer
+bufferOf(const std::vector<TraceRecord> &recs)
+{
+    TraceBuffer buf;
+    for (const TraceRecord &rec : recs)
+        buf.append(rec);
+    return buf;
+}
+
+} // anonymous namespace
 
 TEST(Record, Defaults)
 {
@@ -45,7 +59,7 @@ TEST(Buffer, ValidateAcceptsWellFormed)
     std::vector<TraceRecord> recs(3);
     recs[1].dep = 0;
     recs[2].dep = 1;
-    TraceBuffer buf(std::move(recs));
+    TraceBuffer buf = bufferOf(recs);
     EXPECT_TRUE(buf.validate());
 }
 
@@ -53,7 +67,7 @@ TEST(Buffer, ValidateRejectsForwardDep)
 {
     std::vector<TraceRecord> recs(2);
     recs[0].dep = 1;   // depends on a later record
-    TraceBuffer buf(std::move(recs));
+    TraceBuffer buf = bufferOf(recs);
     EXPECT_FALSE(buf.validate());
 }
 
@@ -61,7 +75,7 @@ TEST(Buffer, ValidateRejectsSelfDep)
 {
     std::vector<TraceRecord> recs(1);
     recs[0].dep = 0;
-    TraceBuffer buf(std::move(recs));
+    TraceBuffer buf = bufferOf(recs);
     EXPECT_FALSE(buf.validate());
 }
 
@@ -69,11 +83,11 @@ TEST(Buffer, ValidateRejectsBadSize)
 {
     std::vector<TraceRecord> recs(1);
     recs[0].size = 0;
-    EXPECT_FALSE(TraceBuffer(std::move(recs)).validate());
+    EXPECT_FALSE(bufferOf(recs).validate());
 
     std::vector<TraceRecord> recs2(1);
     recs2[0].size = 65;
-    EXPECT_FALSE(TraceBuffer(std::move(recs2)).validate());
+    EXPECT_FALSE(bufferOf(recs2).validate());
 }
 
 TEST(Buffer, StatsCountsOpsAndFootprint)
@@ -91,7 +105,7 @@ TEST(Buffer, StatsCountsOpsAndFootprint)
     r.cpu = 1;
     recs.push_back(r);
 
-    TraceStats st = TraceBuffer(std::move(recs)).computeStats();
+    TraceStats st = bufferOf(recs).computeStats();
     EXPECT_EQ(st.num_records, 3u);
     EXPECT_EQ(st.num_loads, 1u);
     EXPECT_EQ(st.num_stores, 1u);
@@ -108,9 +122,41 @@ TEST(Buffer, StatsDependencyChain)
     recs[1].dep = 0;
     recs[2].dep = 1;
     recs[3].dep = 2;
-    TraceStats st = TraceBuffer(std::move(recs)).computeStats();
+    TraceStats st = bufferOf(recs).computeStats();
     EXPECT_EQ(st.num_with_dep, 3u);
     EXPECT_EQ(st.max_dep_chain, 4u);
+}
+
+TEST(Buffer, RowsRoundTripThroughColumns)
+{
+    std::vector<TraceRecord> recs(3);
+    recs[0].addr = 0x1000;
+    recs[0].ip = 0x400010;
+    recs[0].cpu = 1;
+    recs[0].size = 64;
+    recs[1].addr = 0x2000;
+    recs[1].op = MemOp::Store;
+    recs[1].dep = 0;
+    recs[2].addr = 0x3000;
+    recs[2].op = MemOp::Ifetch;
+    recs[2].cpu = 1;
+    recs[2].dep = 1;
+    TraceBuffer buf = bufferOf(recs);
+
+    ASSERT_EQ(buf.size(), 3u);
+    for (std::size_t i = 0; i < recs.size(); ++i)
+        EXPECT_TRUE(buf[i] == recs[i]) << "row " << i;
+    EXPECT_EQ(buf.columns().dep[0], kNoRow);
+    EXPECT_EQ(buf.columns().dep[2], 1u);
+
+    // The per-cpu program-order chains are linked as rows arrive.
+    EXPECT_EQ(buf.numCpus(), 2u);
+    EXPECT_EQ(buf.firstRow(0), 1u);
+    EXPECT_EQ(buf.nextRow(1), kNoRow);
+    EXPECT_EQ(buf.firstRow(1), 0u);
+    EXPECT_EQ(buf.nextRow(0), 2u);
+    EXPECT_EQ(buf.nextRow(2), kNoRow);
+    EXPECT_EQ(buf.firstRow(5), kNoRow);
 }
 
 // ---------------------------------------------------------------------
@@ -157,15 +203,6 @@ TEST(Writer, NoRawAcrossDifferentLines)
     EXPECT_FALSE(recs[ld].hasDep());
 }
 
-TEST(Writer, RawTrackingCanBeDisabled)
-{
-    ThreadTracer tracer(0, /*track_raw=*/false);
-    tracer.store(0x1000, 0x1);
-    RecordId ld = tracer.load(0x1000, 0x2);
-    auto recs = tracer.take();
-    EXPECT_FALSE(recs[ld].hasDep());
-}
-
 TEST(Writer, TakeResetsState)
 {
     ThreadTracer tracer(0);
@@ -190,7 +227,7 @@ TEST(Merger, InterleavesInChunks)
     for (int i = 0; i < 4; ++i)
         t1.load(0x2000 + i * 64, 0x2);
 
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<TraceBuffer> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(2).merge(std::move(threads));
@@ -212,7 +249,7 @@ TEST(Merger, RemapsDependencies)
     (void)ld1;
     t0.load(0x1040, 0x4);
 
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<TraceBuffer> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(1).merge(std::move(threads));
@@ -236,7 +273,7 @@ TEST(Merger, HandlesUnevenThreads)
         t0.load(0x1000 + i * 64, 0x1);
     t1.load(0x2000, 0x2);
 
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<TraceBuffer> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(4).merge(std::move(threads));
@@ -258,7 +295,7 @@ TEST_P(MergerChunkTest, PreservesAllRecordsAndValidity)
         t1.store(0x8000 + i * 8, 0x2);
         t1.load(0x8000 + i * 8, 0x3);
     }
-    std::vector<std::vector<TraceRecord>> threads;
+    std::vector<TraceBuffer> threads;
     threads.push_back(t0.take());
     threads.push_back(t1.take());
     TraceBuffer merged = TraceMerger(GetParam()).merge(
@@ -282,24 +319,49 @@ tempPath(const char *name)
     return (std::filesystem::temp_directory_path() / name).string();
 }
 
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
 } // anonymous namespace
 
 TEST(TraceFile, RoundTrip)
 {
-    ThreadTracer tracer(0);
+    ThreadTracer tracer(1);
     RecordId prev = kNone;
-    for (int i = 0; i < 1000; ++i)
-        prev = tracer.load(0x1000 + i * 16, 0x400000 + i, prev, 16);
-    TraceBuffer original(tracer.take());
+    for (int i = 0; i < 1000; ++i) {
+        // Every third load starts a new chain (no dependency); the
+        // rest depend explicitly on the previous load.
+        prev = tracer.load(0x1000 + i * 16, 0x400000 + i,
+                           i % 3 == 0 ? kNone : prev, 16);
+    }
+    tracer.store(0x90000, 0x500000, prev);
+    tracer.ifetch(0x400100);
+    TraceBuffer original = tracer.take();
+    TraceStats st = original.computeStats();
+    ASSERT_GT(st.num_with_dep, 0u);
+    ASSERT_LT(st.num_with_dep, st.num_records);
 
     std::string path = tempPath("stack3d_trace_test.bin");
+    std::string again = tempPath("stack3d_trace_test_again.bin");
     writeTraceFile(path, original);
     TraceBuffer loaded = readTraceFile(path);
 
     ASSERT_EQ(loaded.size(), original.size());
     for (std::size_t i = 0; i < loaded.size(); ++i)
         EXPECT_TRUE(loaded[i] == original[i]) << "record " << i;
+
+    // Writing what was read reproduces the file byte for byte.
+    writeTraceFile(again, loaded);
+    EXPECT_EQ(fileBytes(again), fileBytes(path));
     std::remove(path.c_str());
+    std::remove(again.c_str());
 }
 
 TEST(TraceFile, MissingFileIsFatal)
@@ -330,15 +392,41 @@ TEST(TraceFile, TruncatedIsFatal)
     std::filesystem::resize_file(path, 100);
     EXPECT_THROW(readTraceFile(path), std::runtime_error);
 
-    // A header claiming 2^40 records over the same short body must be
-    // rejected before anything is allocated for them.
+    // Headers claiming 2^40 records, or 2^32 (one past the trace
+    // limit), over the same short body must be rejected before
+    // anything is allocated for them.
+    for (std::uint64_t huge :
+         {std::uint64_t(1) << 40, std::uint64_t(1) << 32}) {
+        writeTraceFile(path, buf);
+        std::fstream f(path, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        f.seekp(16);   // Header::num_records
+        f.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
+        f.close();
+        EXPECT_THROW(readTraceFile(path), std::runtime_error) << huge;
+    }
+
+    // An op byte past MemOp::Ifetch names no operation.
     writeTraceFile(path, buf);
     {
         std::fstream f(path, std::ios::binary | std::ios::in |
                                  std::ios::out);
-        const std::uint64_t huge = std::uint64_t(1) << 40;
-        f.seekp(16);   // Header::num_records
-        f.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
+        const char bad_op = 3;
+        f.seekp(24 + 32 * 5 + 25);   // record 5, PackedRecord::op
+        f.write(&bad_op, 1);
+    }
+    EXPECT_THROW(readTraceFile(path), std::runtime_error);
+
+    // A dependency past the last record (and past the 32-bit dep
+    // column) is rejected, not truncated.
+    writeTraceFile(path, buf);
+    {
+        std::fstream f(path, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        const std::uint64_t far_dep = std::uint64_t(1) << 40;
+        f.seekp(24 + 32 * 5 + 16);   // record 5, PackedRecord::dep
+        f.write(reinterpret_cast<const char *>(&far_dep),
+                sizeof(far_dep));
     }
     EXPECT_THROW(readTraceFile(path), std::runtime_error);
     std::remove(path.c_str());
@@ -347,20 +435,6 @@ TEST(TraceFile, TruncatedIsFatal)
 // ---------------------------------------------------------------------
 // run-to-run reproducibility
 // ---------------------------------------------------------------------
-
-namespace {
-
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-} // anonymous namespace
 
 /**
  * Two generations of the same workload trace must produce
@@ -399,4 +473,27 @@ TEST(TraceFile, IdenticalRunsAreByteIdentical)
 
     std::remove(path_a.c_str());
     std::remove(path_b.c_str());
+}
+
+/**
+ * Pins the trace file bytes of a fixed small kernel trace: any change
+ * to generation, merging, the in-memory representation or the file
+ * writer that alters one byte of the file shows up here.
+ */
+TEST(TraceFile, KernelTraceBytesArePinned)
+{
+    workloads::WorkloadConfig cfg;
+    cfg.num_threads = 2;
+    cfg.records_per_thread = 2000;
+    cfg.seed = 7;
+    cfg.scale = 0.01;
+    TraceBuffer buf = workloads::makeRmsKernel("sMVM")->generate(cfg);
+
+    std::string path = tempPath("stack3d_pinned.bin");
+    writeTraceFile(path, buf);
+    std::string bytes = fileBytes(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(bytes.size(), 24u + 32u * buf.size());
+    EXPECT_EQ(buf.size(), 4000u);
+    EXPECT_EQ(fnv1a(bytes), 0xcbb85051731ec68full);
 }
