@@ -130,7 +130,8 @@ realMain(int argc, char **argv)
     }
 
     SolveInfo info;
-    TemperatureField field = solveSteadyState(mesh, 1e-8, 40000, &info);
+    TemperatureField field = solveSteadyState(
+        mesh, SolverOptions{.tolerance = 1e-8, .max_iters = 40000}, &info);
     appendSolveCounters(cli.counters(), "thermal.explorer.", info);
     if (!cli.quiet()) {
         std::printf("solved %zu cells in %u CG iterations "

@@ -67,12 +67,6 @@ class Arena
         return new (raw) T[n]();
     }
 
-    /** Total bytes handed out (excluding alignment padding). */
-    std::size_t bytesAllocated() const { return _allocated; }
-
-    /** Number of backing chunks currently held. */
-    std::size_t numChunks() const { return _chunks.size(); }
-
   private:
     struct Chunk
     {
@@ -98,7 +92,6 @@ class Arena
             (base + chunk.used + align - 1) & ~(align - 1);
         std::size_t offset = aligned - base;
         chunk.used = offset + bytes;
-        _allocated += bytes;
         return chunk.data.get() + offset;
     }
 
@@ -111,7 +104,6 @@ class Arena
     }
 
     std::size_t _chunk_bytes;
-    std::size_t _allocated = 0;
     std::vector<Chunk> _chunks;
 };
 

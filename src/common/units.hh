@@ -26,12 +26,6 @@ constexpr double fromMicrometres(double um) { return um * 1e-6; }
 /** Metres from millimetres. */
 constexpr double fromMillimetres(double mm) { return mm * 1e-3; }
 
-/** Celsius from Kelvin-referenced delta plus ambient, identity here:
- *  the thermal solver works directly in °C because only differences
- *  and linear boundary conditions appear in the steady-state problem.
- */
-constexpr double celsius(double c) { return c; }
-
 /** Bytes per gigabyte (decimal, as used for bandwidth figures). */
 constexpr double bytesPerGB = 1e9;
 

@@ -87,18 +87,6 @@ BenchCli::consume(int argc, char **argv, int &i)
             stack3d_fatal("--depth must be positive");
         return true;
     }
-    if (std::strcmp(arg, "--precond") == 0) {
-        const char *value = flagValue(argc, argv, i, "--precond");
-        if (std::strcmp(value, "jacobi") == 0)
-            options.thermal_precond = thermal::Precond::Jacobi;
-        else if (std::strcmp(value, "multigrid") == 0)
-            options.thermal_precond = thermal::Precond::Multigrid;
-        else
-            stack3d_fatal("--precond expects 'jacobi' or 'multigrid',"
-                          " got '",
-                          value, "'");
-        return true;
-    }
     if (std::strcmp(arg, "--quiet") == 0) {
         options.verbosity = Verbosity::Silent;
         return true;
@@ -124,8 +112,6 @@ BenchCli::printUsage(std::ostream &os)
     os << "  --threads N        worker threads (0 = all cores)\n"
        << "  --seed N           master RNG seed\n"
        << "  --depth F          workload-length multiplier\n"
-       << "  --precond P        thermal preconditioner: multigrid "
-          "(default) or jacobi\n"
        << "  --quiet            suppress progress and warnings\n"
        << "  --verbose          per-cell progress lines\n"
        << "  --trace-out FILE   write a Chrome trace-event JSON file\n"
@@ -183,10 +169,6 @@ BenchCli::manifest() const
     m.depth = options.depth;
     m.scale = options.scale;
     m.verbosity = verbosityName(options.verbosity);
-    m.addConfig("thermal_precond",
-                options.thermal_precond == thermal::Precond::Jacobi
-                    ? "jacobi"
-                    : "multigrid");
     for (const auto &kv : _config)
         m.addConfig(kv.first, kv.second);
     return m;

@@ -32,7 +32,6 @@ runLogicStudy(const RunOptions &options, const LogicStudySpec &spec)
 
     thermal::PackageModel pkg = thermal::makeP4Package();
     thermal::SolverOptions sopt;
-    sopt.precond = options.thermal_precond;
     sopt.cancel = options.cancel;
     Floorplan planar = floorplan::makePentium4Planar();
     double planar_density = planar.peakBlockDensity(0);

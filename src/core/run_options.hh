@@ -33,7 +33,6 @@
 #include "common/timing.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "thermal/solver.hh"
 
 namespace stack3d {
 
@@ -131,14 +130,6 @@ struct RunOptions
     double scale = 1.0;
 
     Verbosity verbosity = Verbosity::Normal;
-
-    /**
-     * Preconditioner for every steady-state thermal solve a study
-     * runs (BenchCli's --precond flag). Multigrid is the fast
-     * default; Jacobi is the original solver, kept for comparison
-     * and as a cross-check.
-     */
-    thermal::Precond thermal_precond = thermal::Precond::Multigrid;
 
     /** Optional progress observer (not owned; may be null). */
     ProgressSink *progress = nullptr;

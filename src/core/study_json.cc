@@ -212,12 +212,6 @@ verbosityName(Verbosity v)
     return "normal";
 }
 
-const char *
-precondName(thermal::Precond p)
-{
-    return p == thermal::Precond::Jacobi ? "jacobi" : "multigrid";
-}
-
 } // anonymous namespace
 
 void
@@ -229,7 +223,6 @@ writeRunOptionsJson(JsonWriter &w, const RunOptions &options)
     w.key("depth").valueExact(options.depth);
     w.key("scale").valueExact(options.scale);
     w.key("verbosity").value(verbosityName(options.verbosity));
-    w.key("precond").value(precondName(options.thermal_precond));
     w.endObject();
 }
 
@@ -253,17 +246,6 @@ parseRunOptions(const JsonValue &value, RunOptions &out,
             out.verbosity = Verbosity::Verbose;
         else {
             error = "options: unknown verbosity '" + verbosity + "'";
-            return false;
-        }
-    }
-    std::string precond;
-    if (r.readString("precond", precond)) {
-        if (precond == "jacobi")
-            out.thermal_precond = thermal::Precond::Jacobi;
-        else if (precond == "multigrid")
-            out.thermal_precond = thermal::Precond::Multigrid;
-        else {
-            error = "options: unknown precond '" + precond + "'";
             return false;
         }
     }
@@ -550,7 +532,6 @@ specDigest(const std::string &study, const RunOptions &options,
     d.mix(options.seed);
     d.mixDouble(options.depth);
     d.mixDouble(options.scale);
-    d.mix(std::string(precondName(options.thermal_precond)));
     d.mix(canonical_spec_json);
     return d.value();
 }

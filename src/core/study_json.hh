@@ -92,7 +92,7 @@ class JsonObjectReader
 
 /**
  * Emit the JSON-roundtrippable subset of RunOptions as one object
- * value: threads, seed, depth, scale, verbosity, precond. The
+ * value: threads, seed, depth, scale, verbosity. The
  * progress sink is a process-local pointer and never travels.
  */
 void writeRunOptionsJson(JsonWriter &w, const RunOptions &options);
@@ -142,7 +142,7 @@ std::string canonicalSpecJson(const SensitivitySpec &spec);
 /**
  * Content digest of one (options, spec) pair — the stack3d-serve
  * cache key. Mixes the schema version, the study name, the
- * result-affecting RunOptions fields (seed, depth, scale, precond —
+ * result-affecting RunOptions fields (seed, depth, scale —
  * NOT threads or verbosity: the determinism guarantee makes results
  * independent of those), and the spec's canonical JSON.
  */

@@ -84,7 +84,6 @@ runStackThermalStudy(const RunOptions &options,
     exec::ThreadPool pool(workers > 1 ? workers : 0);
 
     thermal::SolverOptions sopt;
-    sopt.precond = options.thermal_precond;
     sopt.cancel = options.cancel;
 
     // Three tasks over four cells: the two DRAM options share the
@@ -193,7 +192,6 @@ runConductivitySensitivity(const RunOptions &options,
     exec::ThreadPool pool(workers > 1 ? workers : 0);
 
     thermal::SolverOptions sopt;
-    sopt.precond = options.thermal_precond;
     sopt.cancel = options.cancel;
 
     // Two cells per swept point: Cu-metal and bonding-layer. Each

@@ -90,9 +90,6 @@ struct PipelineConfig
                int_rf_stages + 12;
     }
 
-    /** Total load-to-use latency for an L1 hit. */
-    unsigned loadToUse() const { return dcache_stages; }
-
     /** The planar (Figure 9) configuration. */
     static PipelineConfig planar();
 

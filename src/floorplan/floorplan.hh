@@ -64,7 +64,6 @@ class Floorplan
 
     const std::vector<Block> &blocks() const { return _blocks; }
     const std::vector<Net> &nets() const { return _nets; }
-    std::vector<Block> &mutableBlocks() { return _blocks; }
 
     /** Block by name; fatal if absent. */
     const Block &block(const std::string &name) const;

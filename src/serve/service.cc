@@ -22,6 +22,9 @@ namespace serve {
 
 namespace {
 
+/** Watchdog scan period. */
+constexpr auto kWatchdogInterval = std::chrono::milliseconds(250);
+
 /** Set by requestFlightDump() (async-signal-safe), consumed by
  *  pollFlightDump() at the next watchdog tick or request arrival. */
 std::atomic<bool> g_flight_dump_requested{false};
@@ -118,8 +121,7 @@ StudyService::StudyService(const ServiceOptions &options)
 
     // The watchdog needs asynchronous executions to observe; in
     // inline mode (workers == 0) handle() is the execution.
-    if (_options.workers > 0 && _options.watchdog_factor > 0 &&
-        _options.watchdog_interval_ms > 0) {
+    if (_options.workers > 0 && _options.watchdog_factor > 0) {
         _watchdog_pool = std::make_unique<exec::ThreadPool>(1);
         _watchdog_done =
             _watchdog_pool->submit([this] { watchdogLoop(); });
@@ -538,9 +540,7 @@ StudyService::watchdogLoop()
 {
     std::unique_lock<std::mutex> lock(_mutex);
     while (!_watchdog_stop) {
-        _watchdog_cv.wait_for(
-            lock, std::chrono::milliseconds(
-                      _options.watchdog_interval_ms));
+        _watchdog_cv.wait_for(lock, kWatchdogInterval);
         if (_watchdog_stop)
             break;
         lock.unlock();

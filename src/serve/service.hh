@@ -98,9 +98,6 @@ struct ServiceOptions
     /** Watchdog flags executions over factor × cold p99 (0 = off). */
     unsigned watchdog_factor = 4;
 
-    /** Watchdog scan period. */
-    unsigned watchdog_interval_ms = 250;
-
     /** Flight-recorder ring capacity (last N request summaries). */
     std::size_t flight_entries = 128;
 };

@@ -1,7 +1,6 @@
 #include "thermal/multigrid.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "exec/pool.hh"
@@ -19,6 +18,16 @@ namespace {
  */
 constexpr std::size_t kParallelCellCutoff = 32768;
 
+/** Smoother sweeps before and after each coarse-grid correction
+ *  (equal, so the V-cycle stays a symmetric operator). */
+constexpr unsigned kSmoothSweeps = 1;
+/** Smoother sweeps standing in for a coarsest-level solve. */
+constexpr unsigned kCoarseSweeps = 24;
+/** Stop coarsening when min(nx, ny) drops to this. */
+constexpr unsigned kMinCoarseDim = 8;
+/** Damping of the z-line block Jacobi smoother. */
+constexpr double kDamping = 0.8;
+
 inline std::size_t
 idx(unsigned nx, unsigned ny, unsigned i, unsigned j, unsigned z)
 {
@@ -28,9 +37,8 @@ idx(unsigned nx, unsigned ny, unsigned i, unsigned j, unsigned z)
 } // anonymous namespace
 
 MultigridPreconditioner::MultigridPreconditioner(
-    const Mesh &mesh, const MultigridOptions &options,
-    exec::ThreadPool *pool)
-    : _options(options), _pool(pool)
+    const Mesh &mesh, exec::ThreadPool *pool)
+    : _pool(pool)
 {
     Level fine;
     fine.nx = mesh.nx();
@@ -43,14 +51,10 @@ MultigridPreconditioner::MultigridPreconditioner(
     _levels.push_back(std::move(fine));
 
     while (std::min(_levels.back().nx, _levels.back().ny) >
-               _options.min_coarse_dim &&
+               kMinCoarseDim &&
            _levels.size() < 16)
         coarsen(_levels.back());
 
-    const bool chebyshev =
-        _options.smoother == MultigridOptions::Smoother::Chebyshev;
-    const bool zline =
-        _options.smoother == MultigridOptions::Smoother::ZLine;
     for (std::size_t l = 0; l < _levels.size(); ++l) {
         Level &level = _levels[l];
         level.res.assign(level.cells(), 0.0);
@@ -58,30 +62,25 @@ MultigridPreconditioner::MultigridPreconditioner(
             level.x.assign(level.cells(), 0.0);
             level.rhs.assign(level.cells(), 0.0);
         }
-        if (chebyshev)
-            level.p.assign(level.cells(), 0.0);
-        if (zline) {
-            // Factor every column's tridiagonal (diagonal = operator
-            // diagonal, off-diagonals = -gz) once; the LU recurrence
-            // runs plane-by-plane so it vectorizes across (i, j).
-            const std::size_t plane = level.plane();
-            level.zl_inv.resize(level.cells());
-            level.zl_cp.resize(level.cells());
-            level.zl_dp.assign(level.cells(), 0.0);
-            for (std::size_t c = 0; c < plane; ++c) {
-                level.zl_inv[c] = 1.0 / level.diag[c];
+        // Factor every column's tridiagonal (diagonal = operator
+        // diagonal, off-diagonals = -gz) once; the LU recurrence runs
+        // plane-by-plane so it vectorizes across (i, j).
+        const std::size_t plane = level.plane();
+        level.zl_inv.resize(level.cells());
+        level.zl_cp.resize(level.cells());
+        level.zl_dp.assign(level.cells(), 0.0);
+        for (std::size_t c = 0; c < plane; ++c) {
+            level.zl_inv[c] = 1.0 / level.diag[c];
+            level.zl_cp[c] = -level.gz[c] * level.zl_inv[c];
+        }
+        for (unsigned z = 1; z < level.nz; ++z) {
+            const std::size_t b = std::size_t(z) * plane;
+            for (std::size_t c = b; c < b + plane; ++c) {
+                const double gzp = level.gz[c - plane];
+                level.zl_inv[c] =
+                    1.0 / (level.diag[c] -
+                           gzp * gzp * level.zl_inv[c - plane]);
                 level.zl_cp[c] = -level.gz[c] * level.zl_inv[c];
-            }
-            for (unsigned z = 1; z < level.nz; ++z) {
-                const std::size_t b = std::size_t(z) * plane;
-                for (std::size_t c = b; c < b + plane; ++c) {
-                    const double gzp = level.gz[c - plane];
-                    level.zl_inv[c] =
-                        1.0 / (level.diag[c] -
-                               gzp * gzp * level.zl_inv[c - plane]);
-                    level.zl_cp[c] =
-                        -level.gz[c] * level.zl_inv[c];
-                }
             }
         }
     }
@@ -178,144 +177,57 @@ MultigridPreconditioner::smooth(Level &level, const double *rhs,
                                 double *x, unsigned sweeps,
                                 bool x_is_zero)
 {
-    const std::size_t cells = level.cells();
-    if (sweeps == 0) {
-        if (x_is_zero)
-            std::fill(x, x + cells, 0.0);
-        return;
-    }
+    // Damped block Jacobi: each (i, j) column's tridiagonal z-system
+    // (full diagonal, -gz off-diagonals) is solved exactly against the
+    // current residual using the factors precomputed at setup. The
+    // forward/backward recurrences run plane-by-plane so the inner
+    // loops are contiguous in i and vectorize; columns write disjoint
+    // cells, so row-parallel execution is deterministic by
+    // construction.
     _smoother_sweeps += sweeps;
-
     const std::size_t plane = level.plane();
-    const double omega = _options.damping;
+    const unsigned nx = level.nx, nz = level.nz;
+    const double *inv = level.zl_inv.data();
+    const double *cp = level.zl_cp.data();
+    double *dp = level.zl_dp.data();
     exec::ThreadPool *pool = poolFor(level);
-
-    switch (_options.smoother) {
-      case MultigridOptions::Smoother::ZLine: {
-        // Damped block Jacobi: each (i, j) column's tridiagonal
-        // z-system (full diagonal, -gz off-diagonals) is solved
-        // exactly against the current residual using the factors
-        // precomputed at setup. The forward/backward recurrences run
-        // plane-by-plane so the inner loops are contiguous in i and
-        // vectorize; columns write disjoint cells, so row-parallel
-        // execution is deterministic by construction.
-        const unsigned nx = level.nx, nz = level.nz;
-        const double *inv = level.zl_inv.data();
-        const double *cp = level.zl_cp.data();
-        double *dp = level.zl_dp.data();
-        for (unsigned s = 0; s < sweeps; ++s) {
-            const bool first = x_is_zero && s == 0;
-            const double *r = rhs;
-            if (!first) {
-                residual(level, rhs, x, level.res.data());
-                r = level.res.data();
-            }
-            exec::parallelSlabs(
-                pool, level.ny,
-                [&level, r, x, omega, first, inv, cp, dp, nx, nz,
-                 plane](std::size_t j) {
-                    const std::size_t row = j * nx;
-                    for (std::size_t c = row; c < row + nx; ++c)
-                        dp[c] = r[c] * inv[c];
-                    for (unsigned z = 1; z < nz; ++z) {
-                        const std::size_t b = row + z * plane;
-                        for (std::size_t c = b; c < b + nx; ++c)
-                            dp[c] = (r[c] +
-                                     level.gz[c - plane] *
-                                         dp[c - plane]) *
-                                    inv[c];
-                    }
-                    for (unsigned z = nz - 1; z-- > 0;) {
-                        const std::size_t b = row + z * plane;
-                        for (std::size_t c = b; c < b + nx; ++c)
-                            dp[c] -= cp[c] * dp[c + plane];
-                    }
-                    for (unsigned z = 0; z < nz; ++z) {
-                        const std::size_t b = row + z * plane;
-                        if (first) {
-                            for (std::size_t c = b; c < b + nx; ++c)
-                                x[c] = omega * dp[c];
-                        } else {
-                            for (std::size_t c = b; c < b + nx; ++c)
-                                x[c] += omega * dp[c];
-                        }
-                    }
-                });
-        }
-        break;
-      }
-      case MultigridOptions::Smoother::Jacobi: {
-        for (unsigned s = 0; s < sweeps; ++s) {
-            const bool first = x_is_zero && s == 0;
-            const double *r = rhs;
-            if (!first) {
-                residual(level, rhs, x, level.res.data());
-                r = level.res.data();
-            }
-            exec::parallelSlabs(
-                pool, level.nz,
-                [&level, r, x, omega, first, plane](std::size_t z) {
-                    const std::size_t b = z * plane, e = b + plane;
-                    for (std::size_t c = b; c < e; ++c) {
-                        const double d = omega * r[c] / level.diag[c];
-                        if (first)
-                            x[c] = d;
-                        else
-                            x[c] += d;
-                    }
-                });
-        }
-        break;
-      }
-      case MultigridOptions::Smoother::Chebyshev: {
-        // Degree-`sweeps` Chebyshev polynomial in D^-1 A targeting
-        // [lmax/4, lmax]. Gershgorin bounds the spectrum of D^-1 A by
-        // 2 (the diagonal dominates the off-diagonal row sum thanks
-        // to the convection terms), so no eigenvalue estimation pass
-        // is needed.
-        const double lmax = 2.0;
-        const double lmin = lmax / 4.0;
-        const double theta = 0.5 * (lmax + lmin);
-        const double delta = 0.5 * (lmax - lmin);
-        const double sigma = theta / delta;
-        double rho = 1.0 / sigma;
-
-        double *p = level.p.data();
+    for (unsigned s = 0; s < sweeps; ++s) {
+        const bool first = x_is_zero && s == 0;
         const double *r = rhs;
-        if (x_is_zero) {
-            std::fill(x, x + cells, 0.0);
-        } else {
+        if (!first) {
             residual(level, rhs, x, level.res.data());
             r = level.res.data();
         }
         exec::parallelSlabs(
-            pool, level.nz,
-            [&level, r, x, p, theta, plane](std::size_t z) {
-                const std::size_t b = z * plane, e = b + plane;
-                for (std::size_t c = b; c < e; ++c) {
-                    p[c] = r[c] / (level.diag[c] * theta);
-                    x[c] += p[c];
+            pool, level.ny,
+            [&level, r, x, first, inv, cp, dp, nx, nz,
+             plane](std::size_t j) {
+                const std::size_t row = j * nx;
+                for (std::size_t c = row; c < row + nx; ++c)
+                    dp[c] = r[c] * inv[c];
+                for (unsigned z = 1; z < nz; ++z) {
+                    const std::size_t b = row + z * plane;
+                    for (std::size_t c = b; c < b + nx; ++c)
+                        dp[c] = (r[c] +
+                                 level.gz[c - plane] * dp[c - plane]) *
+                                inv[c];
+                }
+                for (unsigned z = nz - 1; z-- > 0;) {
+                    const std::size_t b = row + z * plane;
+                    for (std::size_t c = b; c < b + nx; ++c)
+                        dp[c] -= cp[c] * dp[c + plane];
+                }
+                for (unsigned z = 0; z < nz; ++z) {
+                    const std::size_t b = row + z * plane;
+                    if (first) {
+                        for (std::size_t c = b; c < b + nx; ++c)
+                            x[c] = kDamping * dp[c];
+                    } else {
+                        for (std::size_t c = b; c < b + nx; ++c)
+                            x[c] += kDamping * dp[c];
+                    }
                 }
             });
-        for (unsigned k = 1; k < sweeps; ++k) {
-            residual(level, rhs, x, level.res.data());
-            const double *rk = level.res.data();
-            const double rho_new = 1.0 / (2.0 * sigma - rho);
-            const double a = rho_new * rho;
-            const double b2 = 2.0 * rho_new / delta;
-            exec::parallelSlabs(
-                pool, level.nz,
-                [&level, rk, x, p, a, b2, plane](std::size_t z) {
-                    const std::size_t b = z * plane, e = b + plane;
-                    for (std::size_t c = b; c < e; ++c) {
-                        p[c] = a * p[c] + b2 * rk[c] / level.diag[c];
-                        x[c] += p[c];
-                    }
-                });
-            rho = rho_new;
-        }
-        break;
-      }
     }
 }
 
@@ -325,11 +237,11 @@ MultigridPreconditioner::vcycle(unsigned li, const double *rhs,
 {
     Level &level = _levels[li];
     if (li + 1 == _levels.size()) {
-        smooth(level, rhs, x, _options.coarse_sweeps, true);
+        smooth(level, rhs, x, kCoarseSweeps, true);
         return;
     }
 
-    smooth(level, rhs, x, _options.pre_sweeps, true);
+    smooth(level, rhs, x, kSmoothSweeps, true);
     residual(level, rhs, x, level.res.data());
 
     Level &coarse = _levels[li + 1];
@@ -388,7 +300,7 @@ MultigridPreconditioner::vcycle(unsigned li, const double *rhs,
             }
         });
 
-    smooth(level, rhs, x, _options.post_sweeps, false);
+    smooth(level, rhs, x, kSmoothSweeps, false);
 }
 
 void

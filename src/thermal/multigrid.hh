@@ -10,10 +10,11 @@
  * millimetre heat-sink planes give vertical face conductances orders
  * of magnitude above the lateral ones — so errors that are strongly
  * coupled in z must be removed by the smoother, not the coarse grid:
- * the default smoother solves each (i, j) column's tridiagonal z-line
- * system exactly (damped block Jacobi), which is what makes lateral
- * semicoarsening converge on these stacks. Pointwise damped Jacobi
- * and Chebyshev smoothers are selectable for comparison.
+ * the smoother solves each (i, j) column's tridiagonal z-line system
+ * exactly (damped block Jacobi), which is what makes lateral
+ * semicoarsening converge on these stacks. The cycle shape (sweep
+ * counts, coarsest size, damping) is fixed by constants in
+ * multigrid.cc; one shape serves every paper stack.
  *
  * Used as M in PCG: apply() runs one V-cycle from a zero initial
  * guess, a fixed symmetric positive definite linear operation (equal
@@ -38,27 +39,6 @@ class ThreadPool;
 
 namespace thermal {
 
-/** Tuning knobs for the V-cycle (defaults work for paper stacks). */
-struct MultigridOptions
-{
-    enum class Smoother
-    {
-        ZLine,      ///< damped block Jacobi over z-columns (default)
-        Jacobi,     ///< damped pointwise Jacobi
-        Chebyshev,  ///< fixed-degree Chebyshev over D^-1 A
-    };
-
-    Smoother smoother = Smoother::ZLine;
-    unsigned pre_sweeps = 1;
-    unsigned post_sweeps = 1;
-    /** Smoother sweeps standing in for a coarsest-level solve. */
-    unsigned coarse_sweeps = 24;
-    /** Stop coarsening when min(nx, ny) drops to this. */
-    unsigned min_coarse_dim = 8;
-    /** Damping for the ZLine / Jacobi smoothers. */
-    double damping = 0.8;
-};
-
 /** One V-cycle per apply(); reusable across CG iterations. */
 class MultigridPreconditioner
 {
@@ -71,14 +51,12 @@ class MultigridPreconditioner
      *
      * @param pool optional slab-parallel executor (not owned)
      */
-    MultigridPreconditioner(const Mesh &mesh,
-                            const MultigridOptions &options = {},
-                            exec::ThreadPool *pool = nullptr);
+    explicit MultigridPreconditioner(const Mesh &mesh,
+                                     exec::ThreadPool *pool = nullptr);
 
     /** z = M^-1 r: one V-cycle from a zero initial guess. */
     void apply(const std::vector<double> &r, std::vector<double> &z);
 
-    unsigned numLevels() const { return unsigned(_levels.size()); }
     unsigned vCycles() const { return _v_cycles; }
     /** Total smoother sweeps across all levels and applies. */
     unsigned smootherSweeps() const { return _smoother_sweeps; }
@@ -91,12 +69,11 @@ class MultigridPreconditioner
         const double *gx = nullptr, *gy = nullptr, *gz = nullptr;
         const double *diag = nullptr;
         std::vector<double> own_gx, own_gy, own_gz, own_diag;
-        /** V-cycle workspace: correction, restricted rhs, residual,
-         *  Chebyshev direction vector. */
-        std::vector<double> x, rhs, res, p;
+        /** V-cycle workspace: correction, restricted rhs, residual. */
+        std::vector<double> x, rhs, res;
 
         /**
-         * Precomputed z-line Thomas factors (ZLine smoother only):
+         * Precomputed z-line Thomas factors:
          * zl_inv is the inverted pivot of the column tridiagonal's LU,
          * zl_cp the upper factor, zl_dp the solve workspace. The
          * factorization is constant — the columns' matrices never
@@ -121,7 +98,6 @@ class MultigridPreconditioner
     exec::ThreadPool *poolFor(const Level &level) const;
 
     std::vector<Level> _levels;
-    MultigridOptions _options;
     exec::ThreadPool *_pool;
     unsigned _v_cycles = 0;
     unsigned _smoother_sweeps = 0;

@@ -9,6 +9,7 @@
 #include "exec/reduce.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "thermal/multigrid.hh"
 
 namespace stack3d {
 namespace thermal {
@@ -128,8 +129,7 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
 
     std::unique_ptr<MultigridPreconditioner> mg;
     if (options.precond == Precond::Multigrid)
-        mg = std::make_unique<MultigridPreconditioner>(
-            mesh, options.multigrid, pool);
+        mg = std::make_unique<MultigridPreconditioner>(mesh, pool);
 
     // z = M^-1 r fused (Jacobi) or followed (multigrid) by the
     // slab-reduced dot r.z.
@@ -234,16 +234,6 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
     if (info)
         *info = local;
     return TemperatureField(mesh, std::move(x));
-}
-
-TemperatureField
-solveSteadyState(const Mesh &mesh, double tolerance, unsigned max_iters,
-                 SolveInfo *info)
-{
-    SolverOptions options;
-    options.tolerance = tolerance;
-    options.max_iters = max_iters;
-    return solveSteadyState(mesh, options, info);
 }
 
 void

@@ -4,14 +4,16 @@
  * preconditioned conjugate-gradient solver (the operator is symmetric
  * positive definite thanks to the convection terms).
  *
- * Two preconditioners are available: pointwise Jacobi (the original
- * solver) and a geometric multigrid V-cycle (thermal/multigrid.hh),
- * the default — it cuts iteration counts by an order of magnitude on
- * paper-sized stacks. The CG kernels are fused (operator apply + dot,
- * axpy + norm, precondition + dot) and partitioned over z-plane slabs
- * that may run on an exec::ThreadPool; partial sums are combined in
- * slab order, so an N-thread solve is bit-identical to a serial one
- * (see exec/reduce.hh for the contract).
+ * Every study solves with one configuration: the geometric multigrid
+ * V-cycle preconditioner (thermal/multigrid.hh), which cuts iteration
+ * counts by an order of magnitude on paper-sized stacks. Pointwise
+ * Jacobi stays selectable through SolverOptions only as the reference
+ * the tests and microbenchmarks compare multigrid against; no CLI
+ * flag or wire key reaches it. The CG kernels are fused (operator
+ * apply + dot, axpy + norm, precondition + dot) and partitioned over
+ * z-plane slabs that may run on an exec::ThreadPool; partial sums are
+ * combined in slab order, so an N-thread solve is bit-identical to a
+ * serial one (see exec/reduce.hh for the contract).
  */
 
 #ifndef STACK3D_THERMAL_SOLVER_HH
@@ -22,7 +24,6 @@
 
 #include "common/cancel.hh"
 #include "thermal/mesh.hh"
-#include "thermal/multigrid.hh"
 
 namespace stack3d {
 
@@ -82,8 +83,8 @@ class TemperatureField
 /** Which preconditioner the CG iteration uses. */
 enum class Precond
 {
-    Jacobi,
-    Multigrid,
+    Jacobi,     ///< pointwise; the test and microbenchmark reference
+    Multigrid,  ///< V-cycle; what every study uses
 };
 
 /** Knobs for solveSteadyState; the defaults are the fast path. */
@@ -94,8 +95,6 @@ struct SolverOptions
     double tolerance = 1e-8;
     /** Iteration cap. */
     unsigned max_iters = 20000;
-    /** V-cycle tuning (only read when precond == Multigrid). */
-    MultigridOptions multigrid;
     /**
      * Optional initial guess (not owned; must stay alive through the
      * call). Used only when its size matches mesh.numCells() —
@@ -145,13 +144,7 @@ struct SolveInfo
  * @param info     optional convergence report
  */
 TemperatureField solveSteadyState(const Mesh &mesh,
-                                  const SolverOptions &options,
-                                  SolveInfo *info = nullptr);
-
-/** Back-compatible entry point: default options (multigrid). */
-TemperatureField solveSteadyState(const Mesh &mesh,
-                                  double tolerance = 1e-8,
-                                  unsigned max_iters = 20000,
+                                  const SolverOptions &options = {},
                                   SolveInfo *info = nullptr);
 
 /**

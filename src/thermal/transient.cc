@@ -101,7 +101,7 @@ solveTransient(const Mesh &mesh, double duration, double dt,
     std::vector<double> b(n);
 
     // Steady-state target for the time-constant estimate.
-    double steady_peak = solveSteadyState(mesh, 1e-8).peak();
+    double steady_peak = solveSteadyState(mesh).peak();
     double initial_peak = initial_c;
     double target =
         initial_peak + (steady_peak - initial_peak) * 0.632;

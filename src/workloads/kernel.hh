@@ -75,9 +75,6 @@ class SetupContext
         return v < minimum ? minimum : v;
     }
 
-    /** Total bytes allocated so far. */
-    std::uint64_t allocatedBytes() const { return _next - kBase; }
-
   private:
     static constexpr Addr kBase = 0x10000000;
     const WorkloadConfig &_cfg;

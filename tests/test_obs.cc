@@ -447,7 +447,9 @@ TEST(ObsSnapshots, ThermalSolveRecordsResidualCurve)
     mesh.setLayerPower(geom.layerIndex("active1"), map);
 
     thermal::SolveInfo info;
-    thermal::solveSteadyState(mesh, 1e-8, 4000, &info);
+    thermal::solveSteadyState(
+        mesh, thermal::SolverOptions{.tolerance = 1e-8, .max_iters = 4000},
+        &info);
 
     obs::CounterSet c;
     thermal::appendSolveCounters(c, "thermal.unit.", info);

@@ -44,7 +44,9 @@ peakWith(const thermal::StackGeometry &geom, double w1, double w2)
         map.addUniform(w2);
         mesh.setLayerPower(geom.layerIndex("active2"), map);
     }
-    return thermal::solveSteadyState(mesh, 1e-10).peak();
+    return thermal::solveSteadyState(
+               mesh, thermal::SolverOptions{.tolerance = 1e-10})
+        .peak();
 }
 
 } // anonymous namespace
@@ -94,9 +96,10 @@ TEST(ThermalProperties, SuperpositionOfTwoDies)
     m_die1.setLayerPower(geom.layerIndex("active1"), p1);
     m_die2.setLayerPower(geom.layerIndex("active2"), p2);
 
-    auto f_both = thermal::solveSteadyState(m_both, 1e-11);
-    auto f_1 = thermal::solveSteadyState(m_die1, 1e-11);
-    auto f_2 = thermal::solveSteadyState(m_die2, 1e-11);
+    const thermal::SolverOptions tight{.tolerance = 1e-11};
+    auto f_both = thermal::solveSteadyState(m_both, tight);
+    auto f_1 = thermal::solveSteadyState(m_die1, tight);
+    auto f_2 = thermal::solveSteadyState(m_die2, tight);
 
     // Check superposition at several probe cells.
     for (unsigned z : {2u, 8u}) {

@@ -90,7 +90,6 @@ TEST(SpecJson, RunOptionsRoundTripExact)
     a.depth = 0.1;                      // not representable exactly
     a.scale = 1.0 / 3.0;
     a.verbosity = Verbosity::Verbose;
-    a.thermal_precond = thermal::Precond::Jacobi;
 
     std::ostringstream os;
     JsonWriter w(os, true);
@@ -104,7 +103,6 @@ TEST(SpecJson, RunOptionsRoundTripExact)
     EXPECT_EQ(b.depth, a.depth);
     EXPECT_EQ(b.scale, a.scale);
     EXPECT_EQ(b.verbosity, a.verbosity);
-    EXPECT_EQ(b.thermal_precond, a.thermal_precond);
 }
 
 TEST(SpecJson, MemorySpecRoundTripAndDigestStable)
@@ -302,6 +300,12 @@ TEST(Request, MalformedAndUnknownRejected)
         "\"extra\": 1}",
         req, error));
     EXPECT_NE(error.find("extra"), std::string::npos);
+    // precond is not a run option: rejected like any unknown key.
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"schema_version\": 2, \"study\": \"stack-thermal\", "
+        "\"options\": {\"precond\": \"jacobi\"}}",
+        req, error));
+    EXPECT_NE(error.find("precond"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

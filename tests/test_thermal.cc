@@ -157,7 +157,8 @@ TEST(Solver, MatchesSeriesResistanceAnalytically)
     mesh.setLayerPower(geom.layerIndex("active"), map);
 
     SolveInfo info;
-    TemperatureField field = solveSteadyState(mesh, 1e-10, 50000, &info);
+    TemperatureField field = solveSteadyState(
+        mesh, SolverOptions{.tolerance = 1e-10, .max_iters = 50000}, &info);
     ASSERT_TRUE(info.converged);
 
     double area = geom.width * geom.height;
@@ -183,7 +184,8 @@ TEST(Solver, EnergyBalanceAtBoundaries)
     PowerMap map(8, 8, geom.width, geom.height);
     map.addRect(2e-3, 2e-3, 8e-3, 8e-3, 35.0);
     mesh.setLayerPower(geom.layerIndex("active"), map);
-    TemperatureField field = solveSteadyState(mesh, 1e-11, 50000);
+    TemperatureField field = solveSteadyState(
+        mesh, SolverOptions{.tolerance = 1e-11, .max_iters = 50000});
 
     double cell_area = (geom.width / 8) * (geom.height / 8);
     double out = 0.0;
@@ -225,7 +227,8 @@ TEST(Solver, RefinementConvergence)
         map.addUniform(40.0);
         map.addRect(4e-3, 4e-3, 6e-3, 6e-3, 20.0);
         mesh.setLayerPower(geom.layerIndex("active1"), map);
-        return solveSteadyState(mesh, 1e-9).peak();
+        return solveSteadyState(mesh, SolverOptions{.tolerance = 1e-9})
+            .peak();
     };
     double coarse = solve_at(20);
     double fine = solve_at(40);
@@ -354,7 +357,8 @@ TEST(Transient, ApproachesSteadyState)
     map.addUniform(30.0);
     mesh.setLayerPower(geom.layerIndex("active"), map);
 
-    double steady = solveSteadyState(mesh, 1e-10).peak();
+    double steady =
+        solveSteadyState(mesh, SolverOptions{.tolerance = 1e-10}).peak();
     TransientResult r = solveTransient(mesh, 60.0, 0.5);
     // Within ~0.5% of the full rise after several time constants.
     EXPECT_NEAR(r.samples.back().peak_c, steady,
