@@ -9,7 +9,7 @@
  * Usage: fig5_cpma_bandwidth [--quick] [--json PATH] [shared flags]
  *
  *   --quick      depth 0.25 (a fast smoke run)
- *   --json PATH  write manifest + counters + results to PATH
+ *   --json PATH  write {manifest, counters, meta, payload} to PATH
  *   plus the shared observability flags (--threads, --depth, --seed,
  *   --trace-out, --stats-json, --quiet, ...); see core::BenchCli.
  */
@@ -23,6 +23,7 @@
 #include "common/table.hh"
 #include "core/cli.hh"
 #include "core/memory_study.hh"
+#include "core/study_json.hh"
 
 using namespace stack3d;
 
@@ -139,39 +140,12 @@ realMain(int argc, char **argv)
             std::cerr << "cannot open " << json_path << "\n";
             return 1;
         }
-        JsonWriter w(jf);
+        // Compact, so the payload is byte-identical to the one
+        // stack3d-serve returns for the same study, options and spec.
+        JsonWriter w(jf, /*compact=*/true);
         w.beginObject();
         cli.writeJsonHeader(w);
-        core::writeMetaJson(w, report.meta);
-        w.key("depth").value(opts.depth);
-        w.key("rows").beginArray();
-        for (const auto &row : result.rows) {
-            w.beginObject();
-            w.key("benchmark").value(row.benchmark);
-            w.key("footprint_mb").value(row.footprint_mb);
-            w.key("cpma").beginArray();
-            for (double v : row.cpma)
-                w.value(v);
-            w.endArray();
-            w.key("bw_gbps").beginArray();
-            for (double v : row.bw_gbps)
-                w.value(v);
-            w.endArray();
-            w.key("bus_power_w").beginArray();
-            for (double v : row.bus_power_w)
-                w.value(v);
-            w.endArray();
-            w.endObject();
-        }
-        w.endArray();
-        w.key("summary").beginObject();
-        w.key("avg_cpma_reduction_32m").value(s.avg_cpma_reduction_32m);
-        w.key("max_cpma_reduction_32m").value(s.max_cpma_reduction_32m);
-        w.key("avg_bw_reduction_factor_32m")
-            .value(s.avg_bw_reduction_factor_32m);
-        w.key("avg_bus_power_reduction_32m")
-            .value(s.avg_bus_power_reduction_32m);
-        w.endObject();
+        core::writeReportJson(w, report);
         w.endObject();
         jf << "\n";
         if (!cli.quiet())

@@ -11,7 +11,7 @@
  *
  *   --die-nx/--die-ny  lateral mesh resolution of the die window
  *   --no-map           skip the Figure 8(b) thermal map render
- *   --json PATH        machine-readable manifest + counters + results
+ *   --json PATH        write {manifest, counters, meta, payload}
  *   plus the shared observability flags (--threads, --trace-out,
  *   --stats-json, --quiet, ...); see core::BenchCli.
  */
@@ -25,6 +25,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/cli.hh"
+#include "core/study_json.hh"
 #include "core/thermal_study.hh"
 #include "power/scaling.hh"
 
@@ -156,26 +157,12 @@ realMain(int argc, char **argv)
             std::cerr << "cannot open " << json_path << "\n";
             return 1;
         }
-        JsonWriter w(jf);
+        // Compact, so the payload is byte-identical to the one
+        // stack3d-serve returns for the same study, options and spec.
+        JsonWriter w(jf, /*compact=*/true);
         w.beginObject();
         cli.writeJsonHeader(w);
-        core::writeMetaJson(w, report.meta);
-        w.key("options").beginArray();
-        for (int o = 0; o < 4; ++o) {
-            const core::ThermalPoint &p = result.options[o];
-            w.beginObject();
-            w.key("label").value(labels[o]);
-            w.key("total_power_w").value(p.total_power_w);
-            w.key("peak_c").value(p.peak_c);
-            w.key("die1_peak_c").value(p.die1_peak_c);
-            w.key("die2_peak_c").value(p.die2_peak_c);
-            w.key("min_c").value(p.min_c);
-            w.key("paper_peak_c").value(paper[o]);
-            w.endObject();
-        }
-        w.endArray();
-        w.key("delta_32m_vs_baseline_c")
-            .value(result.options[2].peak_c - result.options[0].peak_c);
+        core::writeReportJson(w, report);
         w.endObject();
         jf << "\n";
         if (!cli.quiet())

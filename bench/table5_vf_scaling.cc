@@ -14,7 +14,7 @@
  *                          [shared flags]
  *   --nominal    use the paper's nominal 15% gain instead of the
  *                measured Table 4 total
- *   --json PATH  write manifest + counters + rows to PATH
+ *   --json PATH  write {manifest, counters, meta, payload} to PATH
  *   plus the shared observability flags (--threads, --trace-out,
  *   --stats-json, --quiet, ...); see core::BenchCli.
  */
@@ -28,6 +28,7 @@
 #include "common/table.hh"
 #include "core/cli.hh"
 #include "core/logic_study.hh"
+#include "core/study_json.hh"
 
 using namespace stack3d;
 
@@ -109,25 +110,12 @@ realMain(int argc, char **argv)
             std::cerr << "cannot open " << json_path << "\n";
             return 1;
         }
-        JsonWriter w(jf);
+        // Compact, so the payload is byte-identical to the one
+        // stack3d-serve returns for the same study, options and spec.
+        JsonWriter w(jf, /*compact=*/true);
         w.beginObject();
         cli.writeJsonHeader(w);
-        core::writeMetaJson(w, report.meta);
-        w.key("perf_gain_pct").value(result.table4.total_perf_gain_pct);
-        w.key("power_saving_3d").value(result.power_saving_3d);
-        w.key("rows").beginArray();
-        for (const auto &row : result.table5) {
-            w.beginObject();
-            w.key("label").value(row.point.label);
-            w.key("power_w").value(row.point.power_w);
-            w.key("power_rel").value(row.point.power_rel);
-            w.key("temp_c").value(row.temp_c);
-            w.key("perf_rel").value(row.point.perf_rel);
-            w.key("vcc").value(row.point.vcc);
-            w.key("freq").value(row.point.freq);
-            w.endObject();
-        }
-        w.endArray();
+        core::writeReportJson(w, report);
         w.endObject();
         jf << "\n";
         if (!cli.quiet())

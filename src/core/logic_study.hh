@@ -52,6 +52,13 @@ struct LogicStudySpec
      * RunOptions::seed (the spec's own seed field is ignored).
      */
     cpu::SuiteOptions suite;
+    /**
+     * The paper's Section 4 power roll-up and V/f conversion laws.
+     * Fixed constants: not on the wire, and nothing in the repo sets
+     * them. They remain fields only because perfbench's logic
+     * composition reads them; delete them with the next change to
+     * the benchmark.
+     */
     power::LogicPowerBreakdown power_breakdown;
     power::VfScalingModel vf_model;
     /** Lateral thermal resolution. */

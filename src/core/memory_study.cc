@@ -165,7 +165,7 @@ runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
                 mem::HierarchyParams hp =
                     mem::makeHierarchyParams(kStackOptions[o]);
                 mem::MemoryHierarchy hier(hp);
-                mem::TraceEngine engine(spec.engine);
+                mem::TraceEngine engine;
                 mem::EngineResult er = engine.run(traces[b], hier);
                 MemoryStudyRow &row = result.rows[b];
                 row.cpma[o] = er.cpma;

@@ -73,9 +73,6 @@ struct MemoryStudySpec
 {
     /** Benchmarks to run (default: all 12 of Table 1). */
     std::vector<std::string> benchmarks;
-
-    /** Issue-engine knobs (window, issue width, warm-up). */
-    mem::EngineParams engine;
 };
 
 /**

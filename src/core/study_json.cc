@@ -272,13 +272,6 @@ writeMemoryStudySpecJson(JsonWriter &w, const MemoryStudySpec &spec)
     for (const std::string &name : spec.benchmarks)
         w.value(name);
     w.endArray();
-    w.key("engine");
-    w.beginObject();
-    w.key("window").value(spec.engine.window);
-    w.key("issue_width").value(spec.engine.issue_width);
-    w.key("honor_dependencies").value(spec.engine.honor_dependencies);
-    w.key("warmup_fraction").valueExact(spec.engine.warmup_fraction);
-    w.endObject();
     w.endObject();
 }
 
@@ -288,18 +281,6 @@ parseMemoryStudySpec(const JsonValue &value, MemoryStudySpec &out,
 {
     JsonObjectReader r(value, "memory spec");
     r.readStringArray("benchmarks", out.benchmarks);
-    if (const JsonValue *engine = r.readMember("engine")) {
-        JsonObjectReader er(*engine, "memory spec engine");
-        er.readUnsigned("window", out.engine.window);
-        er.readUnsigned("issue_width", out.engine.issue_width);
-        er.readBool("honor_dependencies",
-                    out.engine.honor_dependencies);
-        er.readDouble("warmup_fraction", out.engine.warmup_fraction);
-        if (!er.finish()) {
-            error = er.error();
-            return false;
-        }
-    }
     if (!r.finish()) {
         error = r.error();
         return false;
@@ -321,27 +302,6 @@ writeLogicStudySpecJson(JsonWriter &w, const LogicStudySpec &spec)
     w.key("uops_per_trace")
         .value(std::uint64_t(spec.suite.uops_per_trace));
     w.endObject();
-    w.key("power_breakdown");
-    w.beginObject();
-    const power::LogicPowerBreakdown &pb = spec.power_breakdown;
-    w.key("repeater_fraction").valueExact(pb.repeater_fraction);
-    w.key("repeating_latch_fraction")
-        .valueExact(pb.repeating_latch_fraction);
-    w.key("clock_fraction").valueExact(pb.clock_fraction);
-    w.key("pipeline_latch_fraction")
-        .valueExact(pb.pipeline_latch_fraction);
-    w.key("repeater_reduction").valueExact(pb.repeater_reduction);
-    w.key("repeating_latch_reduction")
-        .valueExact(pb.repeating_latch_reduction);
-    w.key("clock_reduction").valueExact(pb.clock_reduction);
-    w.key("pipeline_latch_reduction")
-        .valueExact(pb.pipeline_latch_reduction);
-    w.endObject();
-    w.key("vf_model");
-    w.beginObject();
-    w.key("perf_per_freq").valueExact(spec.vf_model.perf_per_freq);
-    w.key("freq_per_vcc").valueExact(spec.vf_model.freq_per_vcc);
-    w.endObject();
     w.key("die_nx").value(spec.die_nx);
     w.key("die_ny").value(spec.die_ny);
     w.key("use_measured_gain").value(spec.use_measured_gain);
@@ -359,35 +319,6 @@ parseLogicStudySpec(const JsonValue &value, LogicStudySpec &out,
         sr.readUint64("uops_per_trace", out.suite.uops_per_trace);
         if (!sr.finish()) {
             error = sr.error();
-            return false;
-        }
-    }
-    if (const JsonValue *pb = r.readMember("power_breakdown")) {
-        JsonObjectReader pr(*pb, "logic spec power_breakdown");
-        power::LogicPowerBreakdown &b = out.power_breakdown;
-        pr.readDouble("repeater_fraction", b.repeater_fraction);
-        pr.readDouble("repeating_latch_fraction",
-                      b.repeating_latch_fraction);
-        pr.readDouble("clock_fraction", b.clock_fraction);
-        pr.readDouble("pipeline_latch_fraction",
-                      b.pipeline_latch_fraction);
-        pr.readDouble("repeater_reduction", b.repeater_reduction);
-        pr.readDouble("repeating_latch_reduction",
-                      b.repeating_latch_reduction);
-        pr.readDouble("clock_reduction", b.clock_reduction);
-        pr.readDouble("pipeline_latch_reduction",
-                      b.pipeline_latch_reduction);
-        if (!pr.finish()) {
-            error = pr.error();
-            return false;
-        }
-    }
-    if (const JsonValue *vf = r.readMember("vf_model")) {
-        JsonObjectReader vr(*vf, "logic spec vf_model");
-        vr.readDouble("perf_per_freq", out.vf_model.perf_per_freq);
-        vr.readDouble("freq_per_vcc", out.vf_model.freq_per_vcc);
-        if (!vr.finish()) {
-            error = vr.error();
             return false;
         }
     }
@@ -436,6 +367,17 @@ parseStackThermalSpec(const JsonValue &value, StackThermalSpec &out,
     return true;
 }
 
+namespace {
+
+/**
+ * Ceiling on a swept conductivity, W/(m K): above any bulk material
+ * (diamond is about 2 000). At 1e30 the solver's operator product
+ * loses positive definiteness and its assertion aborts the process.
+ */
+constexpr double kMaxSweptConductivity = 1e4;
+
+} // anonymous namespace
+
 void
 writeSensitivitySpecJson(JsonWriter &w, const SensitivitySpec &spec)
 {
@@ -469,6 +411,11 @@ parseSensitivitySpec(const JsonValue &value, SensitivitySpec &out,
         if (!(k > 0.0)) {
             error = "sensitivity spec: conductivities must be "
                     "positive";
+            return false;
+        }
+        if (k > kMaxSweptConductivity) {
+            error = "sensitivity spec: conductivities must be at "
+                    "most 1e4 W/(m K)";
             return false;
         }
     }
@@ -684,6 +631,54 @@ writeSensitivityResultJson(JsonWriter &w,
     }
     w.endArray();
     w.endObject();
+}
+
+// ---------------------------------------------------------------------
+// Study reports
+// ---------------------------------------------------------------------
+
+namespace {
+
+template <typename PayloadT, typename WriterFn>
+void
+writeReport(JsonWriter &w, const StudyReport<PayloadT> &report,
+            WriterFn write_payload)
+{
+    w.key("meta").beginObject();
+    writeMetaJson(w, report.meta);
+    w.endObject();
+    w.key("payload");
+    write_payload(w, report.payload);
+}
+
+} // anonymous namespace
+
+void
+writeReportJson(JsonWriter &w,
+                const StudyReport<MemoryStudyResult> &report)
+{
+    writeReport(w, report, writeMemoryStudyResultJson);
+}
+
+void
+writeReportJson(JsonWriter &w,
+                const StudyReport<LogicStudyResult> &report)
+{
+    writeReport(w, report, writeLogicStudyResultJson);
+}
+
+void
+writeReportJson(JsonWriter &w,
+                const StudyReport<StackThermalResult> &report)
+{
+    writeReport(w, report, writeStackThermalResultJson);
+}
+
+void
+writeReportJson(JsonWriter &w,
+                const StudyReport<std::vector<SensitivityPoint>> &report)
+{
+    writeReport(w, report, writeSensitivityResultJson);
 }
 
 } // namespace core

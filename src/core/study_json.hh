@@ -94,6 +94,11 @@ class JsonObjectReader
  * Emit the JSON-roundtrippable subset of RunOptions as one object
  * value: threads, seed, depth, scale, verbosity. The
  * progress sink is a process-local pointer and never travels.
+ *
+ * Only tests call it (the service never echoes run options), but it
+ * stays: lint3d's wire-digest-parity rule (`pairs = ["RunOptions"]`
+ * in .lint3d.toml) reads the RunOptions wire keys from this writer,
+ * so deleting it would silently disable that check.
  */
 void writeRunOptionsJson(JsonWriter &w, const RunOptions &options);
 
@@ -162,6 +167,24 @@ void writeStackThermalResultJson(JsonWriter &w,
                                  const StackThermalResult &result);
 void writeSensitivityResultJson(
     JsonWriter &w, const std::vector<SensitivityPoint> &points);
+
+/**
+ * The one JSON form of a study report: write the members
+ * `"meta":{...},"payload":{...}` into the writer's open object.
+ * `payload` is written last — serve clients hash the text after the
+ * last `"payload":`. stack3d-serve responses and the benches'
+ * `--json` files both use it, so a bench's payload equals the serve
+ * payload for the same study, options and spec.
+ */
+void writeReportJson(JsonWriter &w,
+                     const StudyReport<MemoryStudyResult> &report);
+void writeReportJson(JsonWriter &w,
+                     const StudyReport<LogicStudyResult> &report);
+void writeReportJson(JsonWriter &w,
+                     const StudyReport<StackThermalResult> &report);
+void writeReportJson(
+    JsonWriter &w,
+    const StudyReport<std::vector<SensitivityPoint>> &report);
 
 } // namespace core
 } // namespace stack3d

@@ -169,43 +169,22 @@ StudyService::execute(const Request &request,
       case StudyKind::Memory: {
         auto report = core::runMemoryStudy(opts, request.memory);
         noteReplayCounters(report.meta.counters);
-        w.key("meta").beginObject();
-        core::writeMetaJson(w, report.meta);
-        w.endObject();
-        w.key("payload");
-        core::writeMemoryStudyResultJson(w, report.payload);
+        core::writeReportJson(w, report);
         break;
       }
-      case StudyKind::Logic: {
-        auto report = core::runLogicStudy(opts, request.logic);
-        w.key("meta").beginObject();
-        core::writeMetaJson(w, report.meta);
-        w.endObject();
-        w.key("payload");
-        core::writeLogicStudyResultJson(w, report.payload);
+      case StudyKind::Logic:
+        core::writeReportJson(w,
+                              core::runLogicStudy(opts, request.logic));
         break;
-      }
-      case StudyKind::StackThermal: {
-        auto report =
-            core::runStackThermalStudy(opts, request.stack_thermal);
-        w.key("meta").beginObject();
-        core::writeMetaJson(w, report.meta);
-        w.endObject();
-        w.key("payload");
-        core::writeStackThermalResultJson(w, report.payload);
+      case StudyKind::StackThermal:
+        core::writeReportJson(
+            w, core::runStackThermalStudy(opts, request.stack_thermal));
         break;
-      }
-      case StudyKind::Sensitivity: {
-        auto report =
-            core::runConductivitySensitivity(opts,
-                                             request.sensitivity);
-        w.key("meta").beginObject();
-        core::writeMetaJson(w, report.meta);
-        w.endObject();
-        w.key("payload");
-        core::writeSensitivityResultJson(w, report.payload);
+      case StudyKind::Sensitivity:
+        core::writeReportJson(
+            w, core::runConductivitySensitivity(opts,
+                                                request.sensitivity));
         break;
-      }
     }
     w.endObject();
     return os.str();

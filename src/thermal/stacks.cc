@@ -121,65 +121,5 @@ makeTwoDieStack(double die_width, double die_height,
     return geom;
 }
 
-StackGeometry
-makeMultiDieStack(double die_width, double die_height,
-                  const std::vector<StackedDieType> &upper_dies,
-                  const PackageModel &pkg, const StackOverrides &ovr)
-{
-    if (upper_dies.empty())
-        return makePlanarStack(die_width, die_height, pkg, ovr);
-
-    StackGeometry geom;
-    geom.width = die_width;
-    geom.height = die_height;
-    geom.h_top = pkg.h_top;
-    geom.margin = pkg.margin;
-    geom.h_bottom = pkg.h_bottom;
-    geom.ambient = pkg.ambient;
-
-    appendCoolingTop(geom, pkg);
-
-    // Die #1 (the processor) keeps its full bulk toward the sink.
-    geom.layers.push_back({"bulk_si1", table2::si1_thickness,
-                           table2::si_conductivity, 2, false,
-                           pkg.underfill_conductivity});
-    geom.layers.push_back({"active1", kActiveThickness,
-                           table2::si_conductivity, 1, true,
-                           pkg.underfill_conductivity});
-    geom.layers.push_back({"metal1", table2::cu_metal_thickness,
-                           ovr.cu_metal_conductivity, 1, false,
-                           pkg.underfill_conductivity});
-
-    for (std::size_t d = 0; d < upper_dies.size(); ++d) {
-        if (upper_dies[d] == StackedDieType::None)
-            stack3d_fatal("multi-die stack cannot contain None dies");
-        std::string n = std::to_string(d + 2);
-        geom.layers.push_back({"bond" + std::to_string(d + 1),
-                               table2::bond_thickness,
-                               ovr.bond_conductivity, 1, false,
-                               pkg.underfill_conductivity});
-        if (upper_dies[d] == StackedDieType::Dram) {
-            geom.layers.push_back({"metal" + n,
-                                   table2::al_metal_thickness,
-                                   table2::al_metal_conductivity, 1,
-                                   false, pkg.underfill_conductivity});
-        } else {
-            geom.layers.push_back({"metal" + n,
-                                   table2::cu_metal_thickness,
-                                   ovr.cu_metal_conductivity, 1, false,
-                                   pkg.underfill_conductivity});
-        }
-        geom.layers.push_back({"active" + n, kActiveThickness,
-                               table2::si_conductivity, 1, true,
-                               pkg.underfill_conductivity});
-        geom.layers.push_back({"bulk_si" + n, table2::si2_thickness,
-                               table2::si_conductivity, 1, false,
-                               pkg.underfill_conductivity});
-    }
-
-    appendPackageBottom(geom, pkg);
-    return geom;
-}
-
 } // namespace thermal
 } // namespace stack3d

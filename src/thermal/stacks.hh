@@ -9,8 +9,6 @@
 #ifndef STACK3D_THERMAL_STACKS_HH
 #define STACK3D_THERMAL_STACKS_HH
 
-#include <vector>
-
 #include "thermal/mesh.hh"
 
 namespace stack3d {
@@ -135,21 +133,6 @@ StackGeometry makeTwoDieStack(double die_width, double die_height,
                               StackedDieType second_die,
                               const PackageModel &pkg = {},
                               const StackOverrides &ovr = {});
-
-/**
- * Extension beyond the paper's two-die limit ("it is possible to
- * stack many die"): die #1 face-down against the heat-sink side as
- * in Figure 1, then each further die bonded below the previous one
- * (bond / metal / active / thinned bulk), ending at the C4 bumps.
- * Power layers are named "active1" .. "activeN".
- *
- * @param upper_dies technology of dies #2..#N, top to bottom
- */
-StackGeometry makeMultiDieStack(double die_width, double die_height,
-                                const std::vector<StackedDieType>
-                                    &upper_dies,
-                                const PackageModel &pkg = {},
-                                const StackOverrides &ovr = {});
 
 } // namespace thermal
 } // namespace stack3d

@@ -109,10 +109,6 @@ TEST(SpecJson, MemorySpecRoundTripAndDigestStable)
 {
     MemoryStudySpec a;
     a.benchmarks = {"gauss", "svd"};
-    a.engine.window = 64;
-    a.engine.issue_width = 2;
-    a.engine.honor_dependencies = false;
-    a.engine.warmup_fraction = 0.125;
 
     MemoryStudySpec b;
     std::string error;
@@ -120,11 +116,6 @@ TEST(SpecJson, MemorySpecRoundTripAndDigestStable)
         parseMemoryStudySpec(parsed(canonicalSpecJson(a)), b, error))
         << error;
     EXPECT_EQ(b.benchmarks, a.benchmarks);
-    EXPECT_EQ(b.engine.window, a.engine.window);
-    EXPECT_EQ(b.engine.issue_width, a.engine.issue_width);
-    EXPECT_EQ(b.engine.honor_dependencies,
-              a.engine.honor_dependencies);
-    EXPECT_EQ(b.engine.warmup_fraction, a.engine.warmup_fraction);
     EXPECT_EQ(canonicalSpecJson(b), canonicalSpecJson(a));
 }
 
@@ -133,9 +124,6 @@ TEST(SpecJson, LogicSpecRoundTripAndDigestStable)
     LogicStudySpec a;
     a.suite.full_suite = true;
     a.suite.uops_per_trace = 123456789012345ull;
-    a.power_breakdown.repeater_fraction = 0.11;
-    a.power_breakdown.clock_reduction = 0.45;
-    a.vf_model.perf_per_freq = 0.79;
     a.die_nx = 33;
     a.die_ny = 31;
     a.use_measured_gain = false;
@@ -147,11 +135,6 @@ TEST(SpecJson, LogicSpecRoundTripAndDigestStable)
         << error;
     EXPECT_EQ(b.suite.full_suite, a.suite.full_suite);
     EXPECT_EQ(b.suite.uops_per_trace, a.suite.uops_per_trace);
-    EXPECT_EQ(b.power_breakdown.repeater_fraction,
-              a.power_breakdown.repeater_fraction);
-    EXPECT_EQ(b.power_breakdown.clock_reduction,
-              a.power_breakdown.clock_reduction);
-    EXPECT_EQ(b.vf_model.perf_per_freq, a.vf_model.perf_per_freq);
     EXPECT_EQ(b.die_nx, a.die_nx);
     EXPECT_EQ(b.die_ny, a.die_ny);
     EXPECT_EQ(b.use_measured_gain, a.use_measured_gain);
@@ -186,6 +169,24 @@ TEST(SpecJson, ThermalSpecsRoundTripAndDigestStable)
     EXPECT_EQ(canonicalSpecJson(d), canonicalSpecJson(c));
 }
 
+TEST(SpecJson, SensitivityConductivitiesBounded)
+{
+    SensitivitySpec spec;
+    std::string error;
+    EXPECT_TRUE(parseSensitivitySpec(
+        parsed("{\"conductivities\": [2000, 10000]}"), spec, error))
+        << error;
+    for (const char *bad : {"{\"conductivities\": [0]}",
+                            "{\"conductivities\": [10001]}",
+                            "{\"conductivities\": [60, 1e30]}"}) {
+        error.clear();
+        EXPECT_FALSE(parseSensitivitySpec(parsed(bad), spec, error))
+            << bad;
+        EXPECT_NE(error.find("conductivities"), std::string::npos)
+            << error;
+    }
+}
+
 TEST(SpecJson, MissingKeysKeepDefaults)
 {
     MemoryStudySpec spec;
@@ -195,7 +196,13 @@ TEST(SpecJson, MissingKeysKeepDefaults)
         << error;
     EXPECT_EQ(spec.benchmarks,
               std::vector<std::string>{std::string("gauss")});
-    EXPECT_EQ(spec.engine.window, 128u);   // default survived
+
+    LogicStudySpec logic;
+    ASSERT_TRUE(parseLogicStudySpec(parsed("{\"die_nx\": 8}"), logic,
+                                    error))
+        << error;
+    EXPECT_EQ(logic.die_nx, 8u);
+    EXPECT_EQ(logic.die_ny, LogicStudySpec{}.die_ny);   // default
 }
 
 TEST(SpecJson, UnknownKeysRejected)
@@ -306,6 +313,18 @@ TEST(Request, MalformedAndUnknownRejected)
         "\"options\": {\"precond\": \"jacobi\"}}",
         req, error));
     EXPECT_NE(error.find("precond"), std::string::npos);
+    // The issue engine and the power/V-f laws are fixed by the
+    // paper's machine, not request values.
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"schema_version\": 2, \"study\": \"memory\", "
+        "\"spec\": {\"engine\": {\"window\": 64}}}",
+        req, error));
+    EXPECT_NE(error.find("'engine'"), std::string::npos) << error;
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"schema_version\": 2, \"study\": \"logic\", "
+        "\"spec\": {\"vf_model\": {\"perf_per_freq\": 0.8}}}",
+        req, error));
+    EXPECT_NE(error.find("'vf_model'"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------
@@ -441,6 +460,31 @@ TEST(StudyService, BadRequestsAreErrorsNotCrashes)
         "{\"schema_version\": 2, \"study\": \"memory\", "
         "\"spec\": {\"benchmarks\": [\"bogus\"]}}");
     EXPECT_EQ(fail.status, serve::ServeResult::Status::Error);
+
+    // Each of these lines once reached a library assertion and
+    // aborted the daemon.
+    const char *aborting[] = {
+        "{\"schema_version\": 2, \"study\": \"memory\", "
+        "\"options\": {\"depth\": 0.01, \"scale\": 0.1}, "
+        "\"spec\": {\"benchmarks\": [\"gauss\"], "
+        "\"engine\": {\"window\": 0}}}",
+        "{\"schema_version\": 2, \"study\": \"memory\", "
+        "\"options\": {\"depth\": 0.01, \"scale\": 0.1}, "
+        "\"spec\": {\"benchmarks\": [\"gauss\"], "
+        "\"engine\": {\"warmup_fraction\": 1.0}}}",
+        "{\"schema_version\": 2, \"study\": \"logic\", "
+        "\"options\": {\"depth\": 0.01}, "
+        "\"spec\": {\"die_nx\": 8, \"die_ny\": 6, "
+        "\"suite\": {\"uops_per_trace\": 1000}, "
+        "\"vf_model\": {\"freq_per_vcc\": 0}}}",
+        "{\"schema_version\": 2, \"study\": \"sensitivity\", "
+        "\"spec\": {\"conductivities\": [1e30], \"die_nx\": 4, "
+        "\"die_ny\": 4}}",
+    };
+    for (const char *line : aborting) {
+        serve::ServeResult r = service.handle(line);
+        EXPECT_EQ(r.status, serve::ServeResult::Status::Error) << line;
+    }
 
     serve::ServeResult ok = service.handle(kThermalRequest);
     EXPECT_EQ(ok.status, serve::ServeResult::Status::Ok) << ok.error;

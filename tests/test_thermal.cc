@@ -435,79 +435,6 @@ TEST(TransientDeathTest, BadStepIsFatal)
 }
 
 // ---------------------------------------------------------------------
-// multi-die stacks (extension beyond the paper's two dies)
-// ---------------------------------------------------------------------
-
-TEST(MultiDie, LayersNamedAndOrdered)
-{
-    std::vector<StackedDieType> uppers{StackedDieType::Dram,
-                                       StackedDieType::Dram,
-                                       StackedDieType::LogicSram};
-    StackGeometry geom = makeMultiDieStack(1e-2, 1e-2, uppers);
-    for (const char *name : {"active1", "active2", "active3",
-                             "active4", "bond1", "bond2", "bond3"})
-        EXPECT_NO_THROW(geom.layerIndex(name)) << name;
-    // Die #4 is LogicSram: Cu metal.
-    unsigned m4 = geom.layerIndex("metal4");
-    EXPECT_DOUBLE_EQ(geom.layers[m4].thickness,
-                     table2::cu_metal_thickness);
-}
-
-TEST(MultiDie, EmptyUpperListIsPlanar)
-{
-    StackGeometry geom = makeMultiDieStack(1e-2, 1e-2, {});
-    EXPECT_THROW(geom.layerIndex("bond1"), std::runtime_error);
-    EXPECT_NO_THROW(geom.layerIndex("active1"));
-}
-
-TEST(MultiDie, NoneDieIsFatal)
-{
-    EXPECT_THROW(
-        makeMultiDieStack(1e-2, 1e-2, {StackedDieType::None}),
-        std::runtime_error);
-}
-
-TEST(MultiDie, FartherDiesRunHotterForSamePower)
-{
-    // The same uniform power on each of three stacked dies: dies
-    // farther from the heat sink peak hotter.
-    std::vector<StackedDieType> uppers{StackedDieType::Dram,
-                                       StackedDieType::Dram};
-    StackGeometry geom = makeMultiDieStack(1e-2, 1e-2, uppers);
-    Mesh mesh(geom, 16, 16);
-    for (const char *name : {"active1", "active2", "active3"}) {
-        PowerMap map(16, 16, 1e-2, 1e-2);
-        map.addUniform(20.0);
-        mesh.setLayerPower(geom.layerIndex(name), map);
-    }
-    TemperatureField field = solveSteadyState(mesh);
-    double t1 = field.layerPeak(geom.layerIndex("active1"));
-    double t3 = field.layerPeak(geom.layerIndex("active3"));
-    EXPECT_GE(t3, t1);
-}
-
-TEST(MultiDie, TwoDieSpecialCaseAgrees)
-{
-    // makeMultiDieStack with one Dram upper die should match
-    // makeTwoDieStack thermally.
-    StackGeometry a =
-        makeTwoDieStack(1e-2, 1e-2, StackedDieType::Dram);
-    StackGeometry b =
-        makeMultiDieStack(1e-2, 1e-2, {StackedDieType::Dram});
-    auto solve = [](const StackGeometry &geom) {
-        Mesh mesh(geom, 16, 16);
-        PowerMap map(16, 16, 1e-2, 1e-2);
-        map.addUniform(60.0);
-        mesh.setLayerPower(geom.layerIndex("active1"), map);
-        PowerMap map2(16, 16, 1e-2, 1e-2);
-        map2.addUniform(4.0);
-        mesh.setLayerPower(geom.layerIndex("active2"), map2);
-        return solveSteadyState(mesh).peak();
-    };
-    EXPECT_NEAR(solve(a), solve(b), 0.05);
-}
-
-// ---------------------------------------------------------------------
 // multigrid preconditioner, incremental reassembly, warm starts
 // ---------------------------------------------------------------------
 
