@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
+#include "common/digest.hh"
 #include "thermal/mesh.hh"
 #include "thermal/power_map.hh"
 #include "thermal/render.hh"
@@ -611,4 +614,34 @@ TEST(TemperatureField, LayerQueriesScanEveryPlane)
     auto cell = field.layerPeakCell(0);
     EXPECT_EQ(cell.first, 3u);
     EXPECT_EQ(cell.second, 2u);
+}
+
+TEST(Solver, FieldBytesArePinned)
+{
+    // Every figure's thermal numbers come out of this solve, so its
+    // floating-point operation order is pinned bit for bit: the
+    // FNV-1a of the raw field bytes under both preconditioners. A
+    // reordered reduction or a fused kernel that rounds differently
+    // changes these values; a legitimate model change must re-pin
+    // them and say why.
+    StackGeometry geom =
+        makeTwoDieStack(1e-2, 1e-2, StackedDieType::Dram);
+    Mesh mesh(geom, 20, 20);
+    PowerMap map(20, 20, 1e-2, 1e-2);
+    map.addUniform(70.0);
+    mesh.setLayerPower(geom.layerIndex("active1"), map);
+
+    auto fieldDigest = [&](Precond precond) {
+        SolverOptions opts;
+        opts.precond = precond;
+        TemperatureField f = solveSteadyState(mesh, opts);
+        const std::vector<double> &raw = f.raw();
+        return fnv1a(std::string(
+            reinterpret_cast<const char *>(raw.data()),
+            raw.size() * sizeof(double)));
+    };
+    EXPECT_EQ(digestHex(fieldDigest(Precond::Multigrid)),
+              "0x9851fd0a990a6d5b");
+    EXPECT_EQ(digestHex(fieldDigest(Precond::Jacobi)),
+              "0x8f7821bd678a9b0a");
 }
