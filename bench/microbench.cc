@@ -8,11 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 
 #include "cpu/pipeline.hh"
-#include "exec/pool.hh"
 #include "mem/engine.hh"
 #include "mem/tagsearch.hh"
 #include "obs/histogram.hh"
@@ -179,54 +177,37 @@ makeBenchMesh(const thermal::StackGeometry &geom, unsigned die_n)
 }
 
 void
-thermalSolveBench(benchmark::State &state, thermal::Precond precond,
-                  bool use_pool)
+thermalSolveBench(benchmark::State &state, thermal::Precond precond)
 {
     auto die_n = unsigned(state.range(0));
     thermal::StackGeometry geom =
         thermal::makeTwoDieStack(12e-3, 12e-3,
                                  thermal::StackedDieType::Dram);
-    // Mirror the studies' idiom: a worker pool only when the machine
-    // can actually fan out (a 1-core pool is pure handoff overhead).
-    std::unique_ptr<exec::ThreadPool> pool;
-    unsigned hw = exec::ThreadPool::hardwareThreads();
-    if (use_pool && hw > 1)
-        pool = std::make_unique<exec::ThreadPool>(hw);
     for (auto _ : state) {
         thermal::Mesh mesh = makeBenchMesh(geom, die_n);
         thermal::SolverOptions opt;
         opt.precond = precond;
         opt.tolerance = 1e-6;
-        opt.pool = pool.get();
         benchmark::DoNotOptimize(thermal::solveSteadyState(mesh, opt));
     }
 }
 
 } // anonymous namespace
 
-/** The production fast path: multigrid + slab-parallel kernels. */
+/** The production solve: multigrid-preconditioned CG. */
 void
 BM_ThermalSolve(benchmark::State &state)
 {
-    thermalSolveBench(state, thermal::Precond::Multigrid, true);
+    thermalSolveBench(state, thermal::Precond::Multigrid);
 }
 BENCHMARK(BM_ThermalSolve)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
-/** Multigrid alone (serial kernels), for the parallel-gain split. */
-void
-BM_ThermalSolveMG(benchmark::State &state)
-{
-    thermalSolveBench(state, thermal::Precond::Multigrid, false);
-}
-BENCHMARK(BM_ThermalSolveMG)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 /** The original serial Jacobi-CG solver, kept as the baseline. */
 void
 BM_ThermalSolveJacobi(benchmark::State &state)
 {
-    thermalSolveBench(state, thermal::Precond::Jacobi, false);
+    thermalSolveBench(state, thermal::Precond::Jacobi);
 }
 BENCHMARK(BM_ThermalSolveJacobi)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);

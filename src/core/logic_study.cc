@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "exec/future_set.hh"
 #include "exec/pool.hh"
 #include "floorplan/reference.hh"
 
@@ -43,8 +42,7 @@ runLogicStudy(const RunOptions &options, const LogicStudySpec &spec)
     if (suite.uops_per_trace < 1000)
         suite.uops_per_trace = 1000;
 
-    unsigned workers = options.resolvedThreads();
-    exec::ThreadPool pool(workers > 1 ? workers : 0);
+    exec::ThreadPool pool(options.poolThreads());
 
     // ---- stage 1: Table 4 + the Figure 11 bars --------------------
     exec::parallelFor(pool, 4, [&](std::size_t cell) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "exec/future_set.hh"
 #include "exec/pool.hh"
 
 namespace stack3d {
@@ -122,9 +121,7 @@ runMemoryStudy(const RunOptions &options, const MemoryStudySpec &spec)
     result.rows.resize(num_benchmarks);
     std::vector<trace::TraceBuffer> traces(num_benchmarks);
 
-    // Serial when threads == 1 (inline pool: tasks run at submit()).
-    unsigned workers = options.resolvedThreads();
-    exec::ThreadPool pool(workers > 1 ? workers : 0);
+    exec::ThreadPool pool(options.poolThreads());
 
     // ---- stage 1: trace generation, one cell per benchmark --------
     exec::parallelFor(pool, num_benchmarks, [&](std::size_t b) {

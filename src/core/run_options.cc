@@ -21,6 +21,13 @@ RunOptions::resolvedThreads() const
     return threads == 0 ? exec::ThreadPool::hardwareThreads() : threads;
 }
 
+unsigned
+RunOptions::poolThreads() const
+{
+    const unsigned workers = resolvedThreads();
+    return workers > 1 ? workers : 0;
+}
+
 // ---------------------------------------------------------------------
 // seeds
 // ---------------------------------------------------------------------

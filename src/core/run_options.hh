@@ -146,6 +146,13 @@ struct RunOptions
 
     /** The thread count after resolving 0 -> hardware cores. */
     [[nodiscard]] unsigned resolvedThreads() const;
+
+    /**
+     * Worker threads for a study's exec::ThreadPool: resolvedThreads()
+     * when above 1, else 0 — an inline pool, so a serial run spawns no
+     * thread and runs every cell at submit() in index order.
+     */
+    [[nodiscard]] unsigned poolThreads() const;
 };
 
 /** Wall-clock timing of one finished cell. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "exec/future_set.hh"
 #include "exec/pool.hh"
 
 namespace stack3d {
@@ -80,8 +79,7 @@ runStackThermalStudy(const RunOptions &options,
     const unsigned die_ny = spec.die_ny;
     Floorplan base = makeCore2Duo();
 
-    unsigned workers = options.resolvedThreads();
-    exec::ThreadPool pool(workers > 1 ? workers : 0);
+    exec::ThreadPool pool(options.poolThreads());
 
     thermal::SolverOptions sopt;
     sopt.cancel = options.cancel;
@@ -188,8 +186,7 @@ runConductivitySensitivity(const RunOptions &options,
     for (std::size_t i = 0; i < num_points; ++i)
         points[i].conductivity = spec.conductivities[i];
 
-    unsigned workers = options.resolvedThreads();
-    exec::ThreadPool pool(workers > 1 ? workers : 0);
+    exec::ThreadPool pool(options.poolThreads());
 
     thermal::SolverOptions sopt;
     sopt.cancel = options.cancel;

@@ -10,16 +10,6 @@
 namespace stack3d {
 namespace exec {
 
-namespace {
-thread_local bool t_is_pool_worker = false;
-} // anonymous namespace
-
-bool
-ThreadPool::currentThreadIsWorker()
-{
-    return t_is_pool_worker;
-}
-
 ThreadPool::ThreadPool(unsigned num_threads)
 {
     _workers.reserve(num_threads);
@@ -116,7 +106,6 @@ ThreadPool::anyQueued()
 void
 ThreadPool::workerLoop(unsigned self)
 {
-    t_is_pool_worker = true;
     for (;;) {
         Task task;
         bool stole = false;

@@ -1,7 +1,10 @@
 /**
  * @file
  * A small work-stealing thread pool for fanning independent study
- * cells out across cores.
+ * cells out across cores, plus parallelFor, the fan-out-and-join the
+ * study runners use. Only core, serve and tools hold a pool; model
+ * kernels are serial, and parallelism lives across the independent
+ * cells of a study.
  *
  * Each worker owns a deque: the owner pushes and pops at the back
  * (LIFO, cache-friendly for task trees) while idle workers steal from
@@ -24,8 +27,10 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -103,15 +108,6 @@ class ThreadPool
     /** std::thread::hardware_concurrency with a sane floor of 1. */
     static unsigned hardwareThreads();
 
-    /**
-     * True when the calling thread is a worker of *any* ThreadPool.
-     * Nested parallel helpers (the thermal solver's slab kernels) use
-     * this to fall back to their serial path instead of submitting
-     * sub-tasks and blocking a worker on their futures — the classic
-     * nested-fork deadlock.
-     */
-    static bool currentThreadIsWorker();
-
   private:
     /** Type-erased move-only task (packaged_task<R()> wrapped). */
     class Task
@@ -179,6 +175,38 @@ class ThreadPool
     std::atomic<std::uint64_t> _n_sleeps{0};
     std::atomic<std::uint64_t> _queue_high_water{0};
 };
+
+/**
+ * Run fn(0) .. fn(n-1) on the pool and wait for all of them.
+ * With an inline-mode pool this is exactly a serial for-loop in index
+ * order; with workers the iterations run concurrently.
+ *
+ * Every task is waited for before anything is rethrown: tasks write
+ * caller-owned result slots, so unwinding while siblings still run
+ * would hand them dangling references. When several tasks fail, the
+ * exception of the lowest failing index wins, independent of which
+ * thread happened to fail first.
+ */
+template <typename F>
+void
+parallelFor(ThreadPool &pool, std::size_t n, F &&fn)
+{
+    std::vector<std::future<void>> futures;
+    futures.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        futures.push_back(pool.submit([&fn, i] { fn(i); }));
+    std::exception_ptr first_error;
+    for (std::future<void> &f : futures) {
+        try {
+            f.get();
+        } catch (...) {
+            if (!first_error)
+                first_error = std::current_exception();
+        }
+    }
+    if (first_error)
+        std::rethrow_exception(first_error);
+}
 
 } // namespace exec
 } // namespace stack3d

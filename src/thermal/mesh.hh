@@ -31,8 +31,8 @@ namespace thermal {
  * Raw 7-point conductance-stencil kernels shared by the Mesh operator
  * and the multigrid levels (whose coarse operators have the same
  * shape but own their arrays). All kernels work on a z-plane range
- * [z_begin, z_end) so callers can partition them into deterministic
- * slabs (see exec/reduce.hh).
+ * [z_begin, z_end), so the solver can form its reductions one plane
+ * at a time in a fixed order.
  */
 namespace stencil {
 

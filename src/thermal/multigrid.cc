@@ -3,20 +3,11 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "exec/pool.hh"
-#include "exec/reduce.hh"
 
 namespace stack3d {
 namespace thermal {
 
 namespace {
-
-/**
- * Levels below this cell count run their slab loops serially — the
- * task-submission overhead exceeds the loop body. The cutoff does not
- * affect results (see exec/reduce.hh), only scheduling.
- */
-constexpr std::size_t kParallelCellCutoff = 32768;
 
 /** Smoother sweeps before and after each coarse-grid correction
  *  (equal, so the V-cycle stays a symmetric operator). */
@@ -36,9 +27,7 @@ idx(unsigned nx, unsigned ny, unsigned i, unsigned j, unsigned z)
 
 } // anonymous namespace
 
-MultigridPreconditioner::MultigridPreconditioner(
-    const Mesh &mesh, exec::ThreadPool *pool)
-    : _pool(pool)
+MultigridPreconditioner::MultigridPreconditioner(const Mesh &mesh)
 {
     Level fine;
     fine.nx = mesh.nx();
@@ -149,27 +138,18 @@ MultigridPreconditioner::coarsen(const Level &fine)
     _levels.push_back(std::move(c));
 }
 
-exec::ThreadPool *
-MultigridPreconditioner::poolFor(const Level &level) const
-{
-    return level.cells() >= kParallelCellCutoff ? _pool : nullptr;
-}
-
 void
 MultigridPreconditioner::residual(const Level &level, const double *rhs,
                                   const double *x, double *out) const
 {
     const std::size_t plane = level.plane();
-    exec::parallelSlabs(
-        poolFor(level), level.nz,
-        [&level, rhs, x, out, plane](std::size_t z) {
-            stencil::apply(level.gx, level.gy, level.gz, level.diag, x,
-                           out, level.nx, level.ny, level.nz,
-                           unsigned(z), unsigned(z) + 1);
-            const std::size_t b = z * plane, e = b + plane;
-            for (std::size_t c = b; c < e; ++c)
-                out[c] = rhs[c] - out[c];
-        });
+    for (unsigned z = 0; z < level.nz; ++z) {
+        stencil::apply(level.gx, level.gy, level.gz, level.diag, x, out,
+                       level.nx, level.ny, level.nz, z, z + 1);
+        const std::size_t b = z * plane, e = b + plane;
+        for (std::size_t c = b; c < e; ++c)
+            out[c] = rhs[c] - out[c];
+    }
 }
 
 void
@@ -181,16 +161,14 @@ MultigridPreconditioner::smooth(Level &level, const double *rhs,
     // (full diagonal, -gz off-diagonals) is solved exactly against the
     // current residual using the factors precomputed at setup. The
     // forward/backward recurrences run plane-by-plane so the inner
-    // loops are contiguous in i and vectorize; columns write disjoint
-    // cells, so row-parallel execution is deterministic by
-    // construction.
+    // loops are contiguous in i and vectorize. Columns write disjoint
+    // cells, so the row order does not affect the result.
     _smoother_sweeps += sweeps;
     const std::size_t plane = level.plane();
     const unsigned nx = level.nx, nz = level.nz;
     const double *inv = level.zl_inv.data();
     const double *cp = level.zl_cp.data();
     double *dp = level.zl_dp.data();
-    exec::ThreadPool *pool = poolFor(level);
     for (unsigned s = 0; s < sweeps; ++s) {
         const bool first = x_is_zero && s == 0;
         const double *r = rhs;
@@ -198,36 +176,32 @@ MultigridPreconditioner::smooth(Level &level, const double *rhs,
             residual(level, rhs, x, level.res.data());
             r = level.res.data();
         }
-        exec::parallelSlabs(
-            pool, level.ny,
-            [&level, r, x, first, inv, cp, dp, nx, nz,
-             plane](std::size_t j) {
-                const std::size_t row = j * nx;
-                for (std::size_t c = row; c < row + nx; ++c)
-                    dp[c] = r[c] * inv[c];
-                for (unsigned z = 1; z < nz; ++z) {
-                    const std::size_t b = row + z * plane;
+        for (unsigned j = 0; j < level.ny; ++j) {
+            const std::size_t row = std::size_t(j) * nx;
+            for (std::size_t c = row; c < row + nx; ++c)
+                dp[c] = r[c] * inv[c];
+            for (unsigned z = 1; z < nz; ++z) {
+                const std::size_t b = row + z * plane;
+                for (std::size_t c = b; c < b + nx; ++c)
+                    dp[c] = (r[c] + level.gz[c - plane] * dp[c - plane]) *
+                            inv[c];
+            }
+            for (unsigned z = nz - 1; z-- > 0;) {
+                const std::size_t b = row + z * plane;
+                for (std::size_t c = b; c < b + nx; ++c)
+                    dp[c] -= cp[c] * dp[c + plane];
+            }
+            for (unsigned z = 0; z < nz; ++z) {
+                const std::size_t b = row + z * plane;
+                if (first) {
                     for (std::size_t c = b; c < b + nx; ++c)
-                        dp[c] = (r[c] +
-                                 level.gz[c - plane] * dp[c - plane]) *
-                                inv[c];
-                }
-                for (unsigned z = nz - 1; z-- > 0;) {
-                    const std::size_t b = row + z * plane;
+                        x[c] = kDamping * dp[c];
+                } else {
                     for (std::size_t c = b; c < b + nx; ++c)
-                        dp[c] -= cp[c] * dp[c + plane];
+                        x[c] += kDamping * dp[c];
                 }
-                for (unsigned z = 0; z < nz; ++z) {
-                    const std::size_t b = row + z * plane;
-                    if (first) {
-                        for (std::size_t c = b; c < b + nx; ++c)
-                            x[c] = kDamping * dp[c];
-                    } else {
-                        for (std::size_t c = b; c < b + nx; ++c)
-                            x[c] += kDamping * dp[c];
-                    }
-                }
-            });
+            }
+        }
     }
 }
 
@@ -250,55 +224,46 @@ MultigridPreconditioner::vcycle(unsigned li, const double *rhs,
     const unsigned fnx = level.nx, fny = level.ny;
     const unsigned cnx = coarse.nx, cny = coarse.ny;
 
-    // Restriction P^T: aggregate sums of the fine residual. Slabs are
-    // z-planes (unchanged by lateral coarsening), so the partition is
-    // fixed by the problem and the loop order within a plane is the
-    // serial order.
-    exec::parallelSlabs(
-        poolFor(level), level.nz,
-        [res, crhs, fnx, fny, cnx, cny](std::size_t z) {
-            const unsigned pairs_i = fnx / 2;
-            for (unsigned J = 0; J < cny; ++J) {
-                const unsigned j0 = 2 * J;
-                const unsigned j1 = std::min(j0 + 2, fny);
-                double *crow = crhs + idx(cnx, cny, 0, J, unsigned(z));
-                const double *frow0 =
-                    res + idx(fnx, fny, 0, j0, unsigned(z));
+    // Restriction P^T: aggregate sums of the fine residual, plane by
+    // plane (lateral coarsening keeps every z-plane).
+    const unsigned pairs_i = fnx / 2;
+    for (unsigned z = 0; z < level.nz; ++z) {
+        for (unsigned J = 0; J < cny; ++J) {
+            const unsigned j0 = 2 * J;
+            const unsigned j1 = std::min(j0 + 2, fny);
+            double *crow = crhs + idx(cnx, cny, 0, J, z);
+            const double *frow0 = res + idx(fnx, fny, 0, j0, z);
+            for (unsigned I = 0; I < pairs_i; ++I)
+                crow[I] = frow0[2 * I] + frow0[2 * I + 1];
+            if (pairs_i < cnx)
+                crow[pairs_i] = frow0[fnx - 1];
+            if (j1 - j0 == 2) {
+                const double *frow1 = frow0 + fnx;
                 for (unsigned I = 0; I < pairs_i; ++I)
-                    crow[I] = frow0[2 * I] + frow0[2 * I + 1];
+                    crow[I] += frow1[2 * I] + frow1[2 * I + 1];
                 if (pairs_i < cnx)
-                    crow[pairs_i] = frow0[fnx - 1];
-                if (j1 - j0 == 2) {
-                    const double *frow1 = frow0 + fnx;
-                    for (unsigned I = 0; I < pairs_i; ++I)
-                        crow[I] += frow1[2 * I] + frow1[2 * I + 1];
-                    if (pairs_i < cnx)
-                        crow[pairs_i] += frow1[fnx - 1];
-                }
+                    crow[pairs_i] += frow1[fnx - 1];
             }
-        });
+        }
+    }
 
     vcycle(li + 1, coarse.rhs.data(), coarse.x.data());
 
     // Prolongation P: piecewise-constant injection, added to the
     // fine-level correction.
     const double *cx = coarse.x.data();
-    exec::parallelSlabs(
-        poolFor(level), level.nz,
-        [cx, x, fnx, fny, cnx, cny](std::size_t z) {
-            const unsigned pairs_i = fnx / 2;
-            for (unsigned j = 0; j < fny; ++j) {
-                const double *crow =
-                    cx + idx(cnx, cny, 0, j / 2, unsigned(z));
-                double *frow = x + idx(fnx, fny, 0, j, unsigned(z));
-                for (unsigned I = 0; I < pairs_i; ++I) {
-                    frow[2 * I] += crow[I];
-                    frow[2 * I + 1] += crow[I];
-                }
-                if (pairs_i < cnx)
-                    frow[fnx - 1] += crow[pairs_i];
+    for (unsigned z = 0; z < level.nz; ++z) {
+        for (unsigned j = 0; j < fny; ++j) {
+            const double *crow = cx + idx(cnx, cny, 0, j / 2, z);
+            double *frow = x + idx(fnx, fny, 0, j, z);
+            for (unsigned I = 0; I < pairs_i; ++I) {
+                frow[2 * I] += crow[I];
+                frow[2 * I + 1] += crow[I];
             }
-        });
+            if (pairs_i < cnx)
+                frow[fnx - 1] += crow[pairs_i];
+        }
+    }
 
     smooth(level, rhs, x, kSmoothSweeps, false);
 }

@@ -19,9 +19,7 @@
  * Used as M in PCG: apply() runs one V-cycle from a zero initial
  * guess, a fixed symmetric positive definite linear operation (equal
  * pre-/post-smoothing with a symmetric smoother), so the outer CG
- * iteration stays valid. All loops run in deterministic slab order;
- * with a thread pool the slabs run concurrently but compute
- * bit-identical results (see exec/reduce.hh).
+ * iteration stays valid. All loops run serially in a fixed order.
  */
 
 #ifndef STACK3D_THERMAL_MULTIGRID_HH
@@ -32,10 +30,6 @@
 #include "thermal/mesh.hh"
 
 namespace stack3d {
-
-namespace exec {
-class ThreadPool;
-} // namespace exec
 
 namespace thermal {
 
@@ -48,11 +42,8 @@ class MultigridPreconditioner
      * must outlive the preconditioner and must not be reassembled
      * (e.g. by updateLayerConductivity) while it is in use — the
      * finest level aliases the mesh's conductance arrays.
-     *
-     * @param pool optional slab-parallel executor (not owned)
      */
-    explicit MultigridPreconditioner(const Mesh &mesh,
-                                     exec::ThreadPool *pool = nullptr);
+    explicit MultigridPreconditioner(const Mesh &mesh);
 
     /** z = M^-1 r: one V-cycle from a zero initial guess. */
     void apply(const std::vector<double> &r, std::vector<double> &z);
@@ -95,10 +86,8 @@ class MultigridPreconditioner
                 unsigned sweeps, bool x_is_zero);
     void residual(const Level &level, const double *rhs,
                   const double *x, double *out) const;
-    exec::ThreadPool *poolFor(const Level &level) const;
 
     std::vector<Level> _levels;
-    exec::ThreadPool *_pool;
     unsigned _v_cycles = 0;
     unsigned _smoother_sweeps = 0;
 };

@@ -5,8 +5,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "exec/pool.hh"
-#include "exec/reduce.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "thermal/multigrid.hh"
@@ -86,7 +84,6 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
     const std::size_t plane = std::size_t(mesh.nx()) * mesh.ny();
     const std::vector<double> &b = mesh.rhs();
     const std::vector<double> &diag = mesh.diagonal();
-    exec::ThreadPool *pool = options.pool;
 
     SolveInfo local;
 
@@ -99,13 +96,15 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
     }
     std::vector<double> r(n), z(n), p(n), ap(n);
 
-    // Initial residual r = b - A x with b and r norms, one fused
-    // pass. Per-slab partials summed in slab order keep the result
-    // independent of the thread count.
-    std::vector<double> part_bb(nz, 0.0), part_rr(nz, 0.0);
-    exec::parallelSlabs(pool, nz, [&](std::size_t s) {
-        const unsigned zb = unsigned(s), ze = unsigned(s) + 1;
-        mesh.applyOperatorSlab(zb, ze, x.data(), ap.data());
+    // Every reduction below forms one partial per z-plane and adds the
+    // partials in plane order. That grouping is part of the pinned
+    // field bytes (Solver.FieldBytesArePinned): keep it when touching
+    // these loops.
+
+    // Initial residual r = b - A x with b and r norms, one fused pass.
+    double b_norm = 0.0, r_norm2 = 0.0;
+    for (unsigned s = 0; s < nz; ++s) {
+        mesh.applyOperatorSlab(s, s + 1, x.data(), ap.data());
         const std::size_t cb = s * plane, ce = cb + plane;
         double bb = 0.0, rr = 0.0;
         for (std::size_t c = cb; c < ce; ++c) {
@@ -113,13 +112,8 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
             bb += b[c] * b[c];
             rr += r[c] * r[c];
         }
-        part_bb[s] = bb;
-        part_rr[s] = rr;
-    });
-    double b_norm = 0.0, r_norm2 = 0.0;
-    for (unsigned s = 0; s < nz; ++s) {
-        b_norm += part_bb[s];
-        r_norm2 += part_rr[s];
+        b_norm += bb;
+        r_norm2 += rr;
     }
     b_norm = std::sqrt(b_norm);
     // Exact zero means a literally empty RHS (no power anywhere) —
@@ -129,31 +123,33 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
 
     std::unique_ptr<MultigridPreconditioner> mg;
     if (options.precond == Precond::Multigrid)
-        mg = std::make_unique<MultigridPreconditioner>(mesh, pool);
+        mg = std::make_unique<MultigridPreconditioner>(mesh);
 
     // z = M^-1 r fused (Jacobi) or followed (multigrid) by the
-    // slab-reduced dot r.z.
+    // plane-ordered dot r.z.
     auto precondDot = [&]() -> double {
+        double rz = 0.0;
         if (mg) {
             mg->apply(r, z);
-            return exec::parallelSlabReduce(
-                pool, nz, [&](std::size_t s) {
-                    const std::size_t cb = s * plane, ce = cb + plane;
-                    double dot = 0.0;
-                    for (std::size_t c = cb; c < ce; ++c)
-                        dot += r[c] * z[c];
-                    return dot;
-                });
+            for (unsigned s = 0; s < nz; ++s) {
+                const std::size_t cb = s * plane, ce = cb + plane;
+                double dot = 0.0;
+                for (std::size_t c = cb; c < ce; ++c)
+                    dot += r[c] * z[c];
+                rz += dot;
+            }
+            return rz;
         }
-        return exec::parallelSlabReduce(pool, nz, [&](std::size_t s) {
+        for (unsigned s = 0; s < nz; ++s) {
             const std::size_t cb = s * plane, ce = cb + plane;
             double dot = 0.0;
             for (std::size_t c = cb; c < ce; ++c) {
                 z[c] = r[c] / diag[c];
                 dot += r[c] * z[c];
             }
-            return dot;
-        });
+            rz += dot;
+        }
+        return rz;
     };
 
     local.residual = std::sqrt(r_norm2) / b_norm;
@@ -176,29 +172,27 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
                     "thermal solve cancelled at iteration " +
                     std::to_string(iter));
             // Fused ap = A p and p.Ap.
-            double p_ap =
-                exec::parallelSlabReduce(pool, nz, [&](std::size_t s) {
-                    return mesh.applyOperatorAndDotSlab(
-                        unsigned(s), unsigned(s) + 1, p.data(),
-                        ap.data());
-                });
+            double p_ap = 0.0;
+            for (unsigned s = 0; s < nz; ++s)
+                p_ap += mesh.applyOperatorAndDotSlab(s, s + 1, p.data(),
+                                                     ap.data());
             stack3d_assert(
                 p_ap > 0.0,
                 "thermal operator lost positive definiteness");
 
             // Fused x += alpha p, r -= alpha ap, and r.r.
             const double alpha = rz / p_ap;
-            r_norm2 =
-                exec::parallelSlabReduce(pool, nz, [&](std::size_t s) {
-                    const std::size_t cb = s * plane, ce = cb + plane;
-                    double rr = 0.0;
-                    for (std::size_t c = cb; c < ce; ++c) {
-                        x[c] += alpha * p[c];
-                        r[c] -= alpha * ap[c];
-                        rr += r[c] * r[c];
-                    }
-                    return rr;
-                });
+            r_norm2 = 0.0;
+            for (unsigned s = 0; s < nz; ++s) {
+                const std::size_t cb = s * plane, ce = cb + plane;
+                double rr = 0.0;
+                for (std::size_t c = cb; c < ce; ++c) {
+                    x[c] += alpha * p[c];
+                    r[c] -= alpha * ap[c];
+                    rr += r[c] * r[c];
+                }
+                r_norm2 += rr;
+            }
             local.iterations = iter + 1;
             local.residual = std::sqrt(r_norm2) / b_norm;
             if (info)
@@ -214,11 +208,8 @@ solveSteadyState(const Mesh &mesh, const SolverOptions &options,
                            "definiteness");
             const double beta = rz_new / rz;
             rz = rz_new;
-            exec::parallelSlabs(pool, nz, [&](std::size_t s) {
-                const std::size_t cb = s * plane, ce = cb + plane;
-                for (std::size_t c = cb; c < ce; ++c)
-                    p[c] = z[c] + beta * p[c];
-            });
+            for (std::size_t c = 0; c < n; ++c)
+                p[c] = z[c] + beta * p[c];
         }
     }
 

@@ -10,10 +10,11 @@
  * Jacobi stays selectable through SolverOptions only as the reference
  * the tests and microbenchmarks compare multigrid against; no CLI
  * flag or wire key reaches it. The CG kernels are fused (operator
- * apply + dot, axpy + norm, precondition + dot) and partitioned over
- * z-plane slabs that may run on an exec::ThreadPool; partial sums are
- * combined in slab order, so an N-thread solve is bit-identical to a
- * serial one (see exec/reduce.hh for the contract).
+ * apply + dot, axpy + norm, precondition + dot) and run serially, one
+ * z-plane at a time: each reduction forms one partial per plane and
+ * adds the partials in plane order, a fixed grouping that keeps the
+ * field bytes reproducible. Parallelism lives a level up, across the
+ * independent solves of a study.
  */
 
 #ifndef STACK3D_THERMAL_SOLVER_HH
@@ -30,10 +31,6 @@ namespace stack3d {
 namespace obs {
 class CounterSet;
 } // namespace obs
-
-namespace exec {
-class ThreadPool;
-} // namespace exec
 
 namespace thermal {
 
@@ -103,12 +100,6 @@ struct SolverOptions
      */
     const std::vector<double> *warm_start = nullptr;
     /**
-     * Optional slab-parallel executor (not owned). Results are
-     * bit-identical with or without it, at any thread count.
-     */
-    exec::ThreadPool *pool = nullptr;
-
-    /**
      * Optional cooperative stop request (not owned). Polled once per
      * CG outer iteration; a stop throws CancelledError, bounding how
      * long a deadline-expired solve can keep burning a worker to one
@@ -140,7 +131,7 @@ struct SolveInfo
 /**
  * Solve the mesh's steady-state system.
  * @param mesh     assembled mesh with power attached
- * @param options  preconditioner, tolerance, warm start, pool
+ * @param options  preconditioner, tolerance, warm start, cancel token
  * @param info     optional convergence report
  */
 TemperatureField solveSteadyState(const Mesh &mesh,

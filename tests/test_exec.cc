@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the stack3d::exec work-stealing pool and FutureSet:
+ * Tests for the stack3d::exec work-stealing pool and parallelFor:
  * inline-mode ordering, exception propagation, graceful shutdown,
- * stealing under imbalance, and deterministic result collection.
+ * stealing under imbalance, and the wait-all, first-index-wins
+ * failure rule.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +15,9 @@
 #include <thread>
 #include <vector>
 
-#include "exec/future_set.hh"
 #include "exec/pool.hh"
 
 using namespace stack3d;
-using exec::FutureSet;
 using exec::ThreadPool;
 
 TEST(ThreadPool, SubmitReturnsValue)
@@ -54,17 +53,12 @@ TEST(ThreadPool, ManyTasksAllRun)
     std::atomic<int> count{0};
     {
         ThreadPool pool(4);
-        FutureSet<void> futures;
-        for (int i = 0; i < 500; ++i) {
-            futures.add(pool.submit(
-                [&count] {
-                    count.fetch_add(
-                        1, std::memory_order_relaxed);
-                }));
-        }
-        futures.wait();
-        // relaxed everywhere in these tests: wait()/join provide
-        // the synchronization; the atomics only need a tally.
+        exec::parallelFor(pool, 500, [&count](std::size_t) {
+            count.fetch_add(1, std::memory_order_relaxed);
+        });
+        // relaxed everywhere in these tests: parallelFor's wait and
+        // join provide the synchronization; the atomics only need a
+        // tally.
         EXPECT_EQ(count.load(std::memory_order_relaxed), 500);
     }
 }
@@ -77,15 +71,11 @@ TEST(ThreadPool, WorkDistributesAcrossThreads)
     ThreadPool pool(4);
     std::mutex mutex;
     std::set<std::thread::id> seen;
-    FutureSet<void> futures;
-    for (int i = 0; i < 64; ++i) {
-        futures.add(pool.submit([&] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            std::lock_guard<std::mutex> lock(mutex);
-            seen.insert(std::this_thread::get_id());
-        }));
-    }
-    futures.wait();
+    exec::parallelFor(pool, 64, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::lock_guard<std::mutex> lock(mutex);
+        seen.insert(std::this_thread::get_id());
+    });
     EXPECT_GE(seen.size(), 2u);
 }
 
@@ -124,40 +114,18 @@ TEST(ThreadPool, ShutdownDrainsQueuedTasks)
     EXPECT_EQ(count.load(std::memory_order_relaxed), 100);
 }
 
-TEST(FutureSetTest, CollectPreservesSubmissionOrder)
-{
-    ThreadPool pool(4);
-    FutureSet<int> futures;
-    for (int i = 0; i < 32; ++i) {
-        futures.add(pool.submit([i] {
-            // Reverse-staggered completion: later tasks finish first.
-            std::this_thread::sleep_for(
-                std::chrono::microseconds((32 - i) * 50));
-            return i;
-        }));
-    }
-    std::vector<int> results = futures.collect();
-    ASSERT_EQ(results.size(), 32u);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(results[i], i);
-}
-
-TEST(FutureSetTest, FirstSubmittedExceptionWinsAfterAllFinish)
+TEST(ParallelFor, FirstFailingIndexWinsAfterAllFinish)
 {
     ThreadPool pool(4);
     std::atomic<int> completed{0};
-    FutureSet<void> futures;
-    for (int i = 0; i < 16; ++i) {
-        futures.add(pool.submit([&completed, i] {
+    try {
+        exec::parallelFor(pool, 16, [&completed](std::size_t i) {
             if (i == 3)
                 throw std::runtime_error("first");
             if (i == 11)
                 throw std::logic_error("second");
             completed.fetch_add(1, std::memory_order_relaxed);
-        }));
-    }
-    try {
-        futures.wait();
+        });
         FAIL() << "expected an exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "first");

@@ -14,7 +14,6 @@
 #include "common/json_parse.hh"
 #include "common/logging.hh"
 #include "core/run_options.hh"
-#include "exec/future_set.hh"
 #include "exec/pool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"

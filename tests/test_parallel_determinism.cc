@@ -13,7 +13,6 @@
 #include "core/memory_study.hh"
 #include "core/run_options.hh"
 #include "core/thermal_study.hh"
-#include "exec/pool.hh"
 
 using namespace stack3d;
 using namespace stack3d::core;
@@ -228,37 +227,4 @@ TEST(ParallelDeterminism, ProgressSinkSeesEveryCell)
     EXPECT_EQ(sink.started, 5u);
     EXPECT_EQ(sink.finished, 5u);
     EXPECT_DOUBLE_EQ(sink.last_fraction, 1.0);
-}
-
-TEST(ParallelDeterminism, SolverPoolIsBitIdentical)
-{
-    // The solver-level guarantee underlying every study above: a
-    // slab-parallel solve on an N-thread pool performs the same
-    // floating-point operations in the same order as the serial
-    // path, for both preconditioners.
-    using namespace stack3d::thermal;
-    StackGeometry geom =
-        makeTwoDieStack(1e-2, 1e-2, StackedDieType::Dram);
-    Mesh mesh(geom, 20, 20);
-    PowerMap map(20, 20, 1e-2, 1e-2);
-    map.addUniform(70.0);
-    mesh.setLayerPower(geom.layerIndex("active1"), map);
-
-    exec::ThreadPool pool(4);
-    for (Precond precond : {Precond::Multigrid, Precond::Jacobi}) {
-        SolverOptions serial;
-        serial.precond = precond;
-        SolveInfo si;
-        TemperatureField fs = solveSteadyState(mesh, serial, &si);
-
-        SolverOptions pooled = serial;
-        pooled.pool = &pool;
-        SolveInfo pi;
-        TemperatureField fp = solveSteadyState(mesh, pooled, &pi);
-
-        EXPECT_EQ(si.iterations, pi.iterations);
-        ASSERT_EQ(fs.raw().size(), fp.raw().size());
-        for (std::size_t c = 0; c < fs.raw().size(); ++c)
-            EXPECT_EQ(fs.raw()[c], fp.raw()[c]) << c;
-    }
 }

@@ -353,9 +353,8 @@ detFloatReduce(Analysis &a)
             a.text(i - 1) == "::" && a.text(i + 1) == "(") {
             a.emit(a.t[i].line, "det-float-reduce",
                    "std::" + s + " sums in unspecified order; "
-                   "float results vary — use "
-                   "exec::parallelSlabReduce or an index-ordered "
-                   "loop");
+                   "float results vary — add fixed partials in "
+                   "an index-ordered loop");
         }
     }
 }

@@ -41,7 +41,6 @@
 #include "common/json.hh"
 #include "core/cli.hh"
 #include "core/memory_study.hh"
-#include "exec/future_set.hh"
 #include "exec/pool.hh"
 #include "mem/engine.hh"
 #include "trace/file.hh"
@@ -233,8 +232,7 @@ cmdSweep(core::BenchCli &cli, const std::vector<std::string> &args)
                                opts);
     std::array<mem::EngineResult, 4> results;
 
-    unsigned workers = opts.resolvedThreads();
-    exec::ThreadPool pool(workers > 1 ? workers : 0);
+    exec::ThreadPool pool(opts.poolThreads());
     exec::parallelFor(pool, core::kStackOptions.size(),
                       [&](std::size_t o) {
         mem::StackOption option = core::kStackOptions[o];
